@@ -111,19 +111,9 @@ def _noise_reasons(*sample_sets):
     return reasons
 
 
-def _gate_codegen_speedup(label, compiled_samples, codegen_samples):
-    """Enforce the 3x gate — or demote it to a loud skip on a noisy box."""
-    t_com, t_gen = min(compiled_samples), min(codegen_samples)
-    if t_gen * CODEGEN_SPEEDUP_TARGET <= t_com:
-        return
-    message = (
-        f"codegen below {CODEGEN_SPEEDUP_TARGET}x over compiled on {label}: "
-        f"compiled {t_com * 1e3:.2f} ms vs codegen {t_gen * 1e3:.2f} ms "
-        f"({t_com / t_gen:.2f}x)"
-    )
-    reasons = _noise_reasons(
-        ("compiled", compiled_samples), ("codegen", codegen_samples)
-    )
+def _fail_or_demote(message, *sample_sets):
+    """Fail a missed perf gate — or demote it to a loud skip on a noisy box."""
+    reasons = _noise_reasons(*sample_sets)
     if reasons:
         notice = (
             f"PERF GATE DEMOTED TO INFORMATIONAL: {message} "
@@ -132,6 +122,21 @@ def _gate_codegen_speedup(label, compiled_samples, codegen_samples):
         print(notice)
         pytest.skip(notice)
     pytest.fail(message)
+
+
+def _gate_codegen_speedup(label, compiled_samples, codegen_samples):
+    """Enforce the 3x gate (see :func:`_fail_or_demote`)."""
+    t_com, t_gen = min(compiled_samples), min(codegen_samples)
+    if t_gen * CODEGEN_SPEEDUP_TARGET <= t_com:
+        return
+    message = (
+        f"codegen below {CODEGEN_SPEEDUP_TARGET}x over compiled on {label}: "
+        f"compiled {t_com * 1e3:.2f} ms vs codegen {t_gen * 1e3:.2f} ms "
+        f"({t_com / t_gen:.2f}x)"
+    )
+    _fail_or_demote(
+        message, ("compiled", compiled_samples), ("codegen", codegen_samples)
+    )
 
 
 def test_codegen_is_3x_faster_than_compiled_unmonitored():
@@ -292,3 +297,60 @@ def test_null_sink_overhead_single_monitor_fast_path(engine):
         ),
     )
     _assert_null_sink_free(f"single-monitor fast path ({engine})", t_off, t_null)
+
+
+# -- metrics-overhead gate (T-OBS) -----------------------------------------------
+
+#: Metrics-on over metrics-off, warm cache: the fast engines keep every
+#: optimization when counting (static block weights in a metered variant
+#: of the cached artifact), so asking for RunMetrics must stay cheap.
+METRICS_BUDGET = {"codegen": 1.3, "compiled": 2.0}
+
+METRICS_WORKLOADS = {
+    "fib": (lambda: plain_fib(18), lambda: []),
+    "the traced loop": (
+        lambda: loop_with_trace_hits(5000, 100),
+        lambda: [TracerMonitor()],
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(METRICS_WORKLOADS))
+@pytest.mark.parametrize("engine", sorted(METRICS_BUDGET))
+def test_metrics_overhead(engine, workload):
+    """A metrics-on request costs at most the budget over metrics-off.
+
+    Both requests hit one warm cache entry (the metered variant is built
+    on the first metrics-on run, before timing starts).  Informational
+    (loud skip) on a single-core or heavily-loaded box — see
+    :func:`_noise_reasons`.
+    """
+    from repro.observability import RunMetrics
+    from repro.runtime import CompilationCache, RunConfig
+
+    make_program, stack = METRICS_WORKLOADS[workload]
+    program = make_program()
+    cache = CompilationCache(4)
+    off_config = RunConfig(engine=engine)
+
+    def metrics_off():
+        run_monitored(strict, program, stack(), config=off_config, cache=cache)
+
+    def metrics_on():
+        config = RunConfig(engine=engine, metrics=RunMetrics())
+        run_monitored(strict, program, stack(), config=config, cache=cache)
+
+    metrics_off()
+    metrics_on()
+    assert cache.stats().misses == 1  # one entry serves both
+    off_samples, on_samples = _paired_samples(metrics_off, metrics_on)
+    t_off, t_on = min(off_samples), min(on_samples)
+    budget = METRICS_BUDGET[engine]
+    if t_on <= t_off * budget:
+        return
+    message = (
+        f"metrics-on above {budget}x metrics-off on {workload} ({engine}): "
+        f"off {t_off * 1e3:.2f} ms vs on {t_on * 1e3:.2f} ms "
+        f"({t_on / t_off:.2f}x)"
+    )
+    _fail_or_demote(message, ("metrics-off", off_samples), ("metrics-on", on_samples))

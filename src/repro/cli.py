@@ -596,6 +596,7 @@ def cmd_serve(args) -> int:
         max_steps=args.max_steps,
         timeout=args.timeout,
         lint=args.lint,
+        optimize=args.optimize,
         record_dir=args.record_dir,
     ).validate()
     prewarm = []

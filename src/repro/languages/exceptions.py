@@ -213,6 +213,10 @@ class ExceptionsLanguage(BaseLanguage):
     def initial_context(self):
         return (initial_environment(), None)
 
+    def parse(self, source: str) -> Expr:
+        """Parse ``L_exc`` surface syntax (``raise``/``try ... catch``)."""
+        return parse_exc(source)
+
 
 exceptions_language = ExceptionsLanguage()
 

@@ -367,9 +367,10 @@ def run_monitored(
     (also returned as ``result.metrics``), and/or an event sink to
     receive the typed event stream.  With neither (or a ``NullSink``)
     the historical uninstrumented fast path runs.  Counters are
-    engine-independent: both engines count expression-node evaluations
-    at the reference interpreter's granularity (the compiled engine
-    disables its collapse optimizations while counting).
+    engine-independent: every engine counts expression-node evaluations
+    at the reference interpreter's granularity (the fast engines charge
+    static block weights from a metered variant of the same optimized
+    code).
 
     ``timeout`` bounds the run's wall-clock time in seconds (enforced
     cooperatively by the trampoline; overrunning raises
@@ -383,12 +384,12 @@ def run_monitored(
     with a keyword explicitly changed from its default raises
     ``TypeError``.
 
-    ``cache`` (a :class:`repro.runtime.CompilationCache`) memoizes staged
-    compilation for ``engine="compiled"``: identical (program, monitor
-    stack, fault policy) requests reuse the compiled code.  Telemetry
-    runs bypass the cache — counted-mode code burns in the run's own
-    metrics accumulator.  A cache also memoizes the Section 6
-    disjointness verdict, so warm runs skip the per-run annotation walk.
+    ``cache`` (a :class:`repro.runtime.CompilationCache`) memoizes
+    compilation for ``engine="compiled"`` and ``engine="codegen"``:
+    identical (program, monitor stack, fault policy) requests reuse the
+    compiled code, with or without telemetry.  A cache also memoizes the
+    Section 6 disjointness verdict, so warm runs skip the per-run
+    annotation walk.
 
     ``lint`` runs the static analyzer (:mod:`repro.analysis`) before
     execution: ``"warn"`` attaches the findings to
@@ -458,10 +459,7 @@ def run_monitored(
         if cfg.fault_policy == "propagate"
         else FaultLog(cfg.fault_policy, observer=observer)
     )
-    # The *instrumented* specs drive derivation/compilation (so hook calls
-    # are counted and timed); the result reports through the originals.
-    active_list = instrument_monitors(monitor_list, telemetry)
-    initial = MonitorStateVector.initial(active_list)
+    initial = MonitorStateVector.initial(monitor_list)
     deadline = cfg.deadline()
     start = perf_counter() if telemetry is not None else 0.0
     try:
@@ -469,64 +467,55 @@ def run_monitored(
             from repro.languages.base import check_engine_support
 
             check_engine_support(cfg.engine, getattr(language, "name", str(language)))
-            if cfg.engine == "compiled":
+            # The artifact is built from the plain stack whether or not
+            # the run is observed: telemetry is a run option, so
+            # metrics-on runs share the metrics-off cache entry.
+            if cache is not None:
+                compiled = cache.get_or_compile(
+                    language,
+                    program,
+                    monitor_list,
+                    fault_policy=cfg.fault_policy,
+                    engine=cfg.engine,
+                    optimize=cfg.optimize if cfg.engine == "codegen" else "none",
+                )
+            elif cfg.engine == "compiled":
                 from repro.semantics.compiled import compile_program
 
-                if cache is not None and telemetry is None:
-                    compiled = cache.get_or_compile(
-                        language,
-                        program,
-                        active_list,
-                        fault_policy=cfg.fault_policy,
-                    )
-                else:
-                    compiled = compile_program(
-                        program,
-                        monitors=active_list,
-                        env=language.initial_context(),
-                        fault_log=fault_log,
-                        telemetry=telemetry,
-                    )
+                compiled = compile_program(
+                    program,
+                    monitors=monitor_list,
+                    env=language.initial_context(),
+                    fault_log=fault_log,
+                )
             else:
                 from repro.partial_eval.codegen import generate_program
 
-                if cache is not None and telemetry is None:
-                    compiled = cache.get_or_compile(
-                        language,
-                        program,
-                        active_list,
-                        fault_policy=cfg.fault_policy,
-                        engine="codegen",
-                        optimize=cfg.optimize,
-                    )
-                else:
-                    flow = None
-                    if cfg.optimize == "flow":
-                        # Erase hooks at provably-unreachable sites; the
-                        # verdict is memoized when a cache is attached.
-                        if cache is not None:
-                            flow = cache.flow_verdict(active_list, program)
-                        else:
-                            from repro.analysis.flow import analyze_flow
+                flow = None
+                if cfg.optimize == "flow":
+                    # Erase hooks at provably-unreachable sites.
+                    from repro.analysis.flow import analyze_flow
 
-                            flow = analyze_flow(program, active_list)
-                    compiled = generate_program(
-                        program,
-                        active_list,
-                        check_disjointness=False,
-                        telemetry=telemetry,
-                        flow=flow,
-                    )
+                    flow = analyze_flow(program, monitor_list)
+                compiled = generate_program(
+                    program, monitor_list, check_disjointness=False, flow=flow
+                )
             answer, final_states = compiled.run(
                 answers=cfg.answers,
                 initial_ms=initial,
                 max_steps=cfg.max_steps,
                 fault_log=fault_log,
                 deadline=deadline,
+                telemetry=telemetry,
             )
         else:
+            # The reference engine derives over instrumented specs (so
+            # hook calls are counted and timed) and counts every node
+            # evaluation; the result reports through the originals.
             functional = derive_all(
-                language.functional(), active_list, fault_log=fault_log
+                language.functional(),
+                instrument_monitors(monitor_list, telemetry),
+                fault_log=fault_log,
             )
             if telemetry is not None:
                 functional = instrument_functional(functional, telemetry)

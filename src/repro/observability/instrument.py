@@ -1,27 +1,34 @@
-"""The instrumentation layer: how telemetry attaches to both engines.
+"""The instrumentation layer: how telemetry attaches to the engines.
 
 The design rule is *pay only when observed*: with no metrics object and no
-(real) event sink, ``run_monitored`` derives/compiles exactly the code it
-always did — zero instructions are added to the hot paths.  When telemetry
-is requested, three small wrappers are woven in:
+(real) event sink, ``run_monitored`` runs exactly the code it always did —
+zero instructions are added to the hot paths.  When telemetry is
+requested, one per-run :class:`Telemetry` record collects everything:
 
 * :func:`instrument_functional` wraps the (derived) valuation functional
   of the **reference engine** outermost, so every ``recur`` — one per
-  expression-node evaluation — bumps the step counters.
-* The **compiled engine** compiles in *counted mode* (see
-  :mod:`repro.semantics.compiled`): its collapse optimizations are
-  disabled and every node's code is wrapped with the same counters, so
-  both engines count the identical semantic quantity and
-  ``RunMetrics`` compares equal across engines.
-* :class:`InstrumentedSpec` wraps each monitor specification, counting
-  activations / hook calls / state transitions, accumulating monitoring
-  wall-clock, and emitting the typed events.  The wrapper is transparent:
-  it delegates ``recognize``/``initial_state``/``report`` and re-raises
-  hook exceptions, so fault policies behave identically with telemetry on.
+  expression-node evaluation — bumps the step counters.  This defines
+  the counts.
+* The **fast engines** keep every collapse optimization and charge
+  *static block weights* instead (Jahier & Ducassé: instrument few
+  events, derive the rest).  At generation time each straight-line
+  block — a residual-code block in :mod:`repro.partial_eval.codegen`, a
+  compiled closure in :mod:`repro.semantics.compiled` — knows how many
+  reference steps and ``App`` nodes it stands for, and charges them once
+  through :meth:`Telemetry.charge`.  The charges live in a separate,
+  lazily built *metered* variant of the cached artifact, reached only
+  when a run carries telemetry, so metrics-off runs pay nothing and
+  metrics-on runs share the metrics-off cache entry.
+* Monitor hook calls are counted by :meth:`Telemetry.pre` /
+  :meth:`Telemetry.post`: activations, hook calls, state transitions,
+  monitoring wall-clock and the typed events.  The fast engines call
+  them from their per-run hook dispatch; the reference engine through
+  :class:`InstrumentedSpec`.  Hook exceptions are re-raised, so fault
+  policies behave identically with telemetry on.
 
 Faults are observed through :class:`repro.monitoring.faults.FaultLog`'s
-``observer`` hook (:meth:`Telemetry.fault_observer`), which both engines
-already share — fault counts and fault events therefore agree across
+``observer`` hook (:meth:`Telemetry.fault_observer`), which every engine
+already shares — fault counts and fault events therefore agree across
 engines by construction.
 """
 
@@ -44,13 +51,21 @@ def _annotation_name(view) -> str:
 
 
 class Telemetry:
-    """One run's telemetry hub: a metrics object plus an optional sink."""
+    """One run's telemetry hub: a metrics object plus an optional sink.
 
-    __slots__ = ("metrics", "sink", "_seq")
+    This is the per-run counter record every engine charges into: the
+    reference engine through :func:`instrument_functional` and
+    :class:`InstrumentedSpec`, the fast engines through :meth:`charge`
+    (static block weights) and :meth:`pre` / :meth:`post` (hook
+    bookkeeping), reached from their per-run context.
+    """
+
+    __slots__ = ("metrics", "sink", "wants_steps", "_seq")
 
     def __init__(self, metrics: RunMetrics, sink: Optional[EventSink]) -> None:
         self.metrics = metrics
         self.sink = sink
+        self.wants_steps = sink is not None and bool(sink.wants_steps)
         self._seq = 0
 
     @classmethod
@@ -78,16 +93,86 @@ class Telemetry:
         self._seq += 1
         sink.emit(Event(self._seq, kind, slot, payload))
 
-    @property
-    def step_hook(self):
-        """A zero-argument per-step emitter, or ``None`` if unwanted."""
-        if self.sink is not None and self.sink.wants_steps:
-            return self._emit_step
-        return None
+    def charge(self, steps: int, applications: int = 0) -> None:
+        """Charge one straight-line block's static weight.
 
-    def _emit_step(self) -> None:
-        self._seq += 1
-        self.sink.emit(Event(self._seq, "step"))
+        ``steps``/``applications`` are the reference-interpreter node
+        evaluations (and ``App`` nodes among them) the block stands for.
+        A sink that wants steps gets ``steps`` ``step`` events here, at
+        the block's head — the fast engines end every block at a monitor
+        hook or call, so the stream interleaves with hook events exactly
+        as the reference's per-node steps do.
+        """
+        metrics = self.metrics
+        metrics.steps += steps
+        metrics.applications += applications
+        if self.wants_steps:
+            for _ in range(steps):
+                self.emit("step")
+
+    # -- monitor hook bookkeeping ----------------------------------------------
+
+    def pre(self, spec: MonitorSpec, annotation, term, ctx, state, inner=None):
+        """Call ``spec.pre`` counting the activation, its time and events.
+
+        Exceptions escaping the hook are re-raised unchanged (after the
+        activation is counted and the time charged), so the fault-isolation
+        layer sees exactly what it would see without telemetry.
+        """
+        metrics = self.metrics
+        key = spec.key
+        activations, pre_calls = metrics.activations, metrics.pre_calls
+        activations[key] = activations.get(key, 0) + 1
+        pre_calls[key] = pre_calls.get(key, 0) + 1
+        sink = self.sink
+        if sink is not None:
+            name = _annotation_name(annotation)
+            self.emit("annotation-enter", key, annotation=name)
+        start = perf_counter()
+        try:
+            if spec.observes:
+                new_state = spec.pre(annotation, term, ctx, state, inner=inner)
+            else:
+                new_state = spec.pre(annotation, term, ctx, state)
+        finally:
+            metrics.monitor_time += perf_counter() - start
+        changed = new_state is not state
+        if changed:
+            metrics.state_transitions += 1
+        if sink is not None:
+            self.emit("monitor-pre", key, annotation=name, changed=changed)
+            if changed:
+                self.emit("state-update", key, phase="pre")
+        return new_state
+
+    def post(
+        self, spec: MonitorSpec, annotation, term, ctx, result, state, inner=None
+    ):
+        """Call ``spec.post`` with the same bookkeeping as :meth:`pre`."""
+        metrics = self.metrics
+        key = spec.key
+        post_calls = metrics.post_calls
+        post_calls[key] = post_calls.get(key, 0) + 1
+        start = perf_counter()
+        try:
+            if spec.observes:
+                new_state = spec.post(
+                    annotation, term, ctx, result, state, inner=inner
+                )
+            else:
+                new_state = spec.post(annotation, term, ctx, result, state)
+        finally:
+            metrics.monitor_time += perf_counter() - start
+        changed = new_state is not state
+        if changed:
+            metrics.state_transitions += 1
+        if self.sink is not None:
+            name = _annotation_name(annotation)
+            self.emit("monitor-post", key, annotation=name, changed=changed)
+            if changed:
+                self.emit("state-update", key, phase="post")
+            self.emit("annotation-exit", key, annotation=name)
+        return new_state
 
     def fault_observer(self, fault, quarantined: bool) -> None:
         """The ``FaultLog`` observer: count and emit fault/quarantine."""
@@ -110,30 +195,16 @@ def instrument_functional(base_functional, telemetry: Telemetry):
 
     Applied *outermost* (after monitor derivation), so every node
     evaluation — including annotated nodes and fall-through paths — is
-    counted exactly once per entry through ``recur``.
+    charged exactly once per entry through ``recur``: a block of one.
     """
-    metrics = telemetry.metrics
-    step_hook = telemetry.step_hook
+    charge = telemetry.charge
 
     def functional(recur):
         base_eval = base_functional(recur)
 
-        if step_hook is None:
-
-            def eval_counted(term, ctx, kont, ms):
-                metrics.steps += 1
-                if type(term) is App:
-                    metrics.applications += 1
-                return base_eval(term, ctx, kont, ms)
-
-        else:
-
-            def eval_counted(term, ctx, kont, ms):
-                metrics.steps += 1
-                if type(term) is App:
-                    metrics.applications += 1
-                step_hook()
-                return base_eval(term, ctx, kont, ms)
+        def eval_counted(term, ctx, kont, ms):
+            charge(1, 1 if type(term) is App else 0)
+            return base_eval(term, ctx, kont, ms)
 
         return eval_counted
 
@@ -143,11 +214,11 @@ def instrument_functional(base_functional, telemetry: Telemetry):
 class InstrumentedSpec(MonitorSpec):
     """A transparent telemetry wrapper around any monitor specification.
 
-    State shape, recognition, and reporting are the base monitor's own;
-    only the hook calls are observed.  Exceptions escaping ``pre``/``post``
-    are re-raised unchanged (after the activation is counted and the time
-    charged), so the fault-isolation layer sees exactly what it would see
-    without telemetry.
+    The reference engine derives its semantics over these wrappers, so
+    every hook call goes through :meth:`Telemetry.pre` /
+    :meth:`Telemetry.post` — the same bookkeeping the fast engines call
+    directly from their per-run hook dispatch.  State shape, recognition
+    and reporting are the base monitor's own.
     """
 
     __slots__ = ("base", "key", "observes", "_telemetry")
@@ -168,53 +239,12 @@ class InstrumentedSpec(MonitorSpec):
         return self.base.report(state)
 
     def pre(self, annotation, term, ctx, state, inner=None):
-        telemetry = self._telemetry
-        metrics = telemetry.metrics
-        key = self.key
-        metrics.activations[key] = metrics.activations.get(key, 0) + 1
-        metrics.pre_calls[key] = metrics.pre_calls.get(key, 0) + 1
-        name = _annotation_name(annotation)
-        telemetry.emit("annotation-enter", key, annotation=name)
-        start = perf_counter()
-        try:
-            if self.observes:
-                new_state = self.base.pre(annotation, term, ctx, state, inner=inner)
-            else:
-                new_state = self.base.pre(annotation, term, ctx, state)
-        finally:
-            metrics.monitor_time += perf_counter() - start
-        changed = new_state is not state
-        if changed:
-            metrics.state_transitions += 1
-        telemetry.emit("monitor-pre", key, annotation=name, changed=changed)
-        if changed:
-            telemetry.emit("state-update", key, phase="pre")
-        return new_state
+        return self._telemetry.pre(self.base, annotation, term, ctx, state, inner)
 
     def post(self, annotation, term, ctx, result, state, inner=None):
-        telemetry = self._telemetry
-        metrics = telemetry.metrics
-        key = self.key
-        metrics.post_calls[key] = metrics.post_calls.get(key, 0) + 1
-        name = _annotation_name(annotation)
-        start = perf_counter()
-        try:
-            if self.observes:
-                new_state = self.base.post(
-                    annotation, term, ctx, result, state, inner=inner
-                )
-            else:
-                new_state = self.base.post(annotation, term, ctx, result, state)
-        finally:
-            metrics.monitor_time += perf_counter() - start
-        changed = new_state is not state
-        if changed:
-            metrics.state_transitions += 1
-        telemetry.emit("monitor-post", key, annotation=name, changed=changed)
-        if changed:
-            telemetry.emit("state-update", key, phase="post")
-        telemetry.emit("annotation-exit", key, annotation=name)
-        return new_state
+        return self._telemetry.post(
+            self.base, annotation, term, ctx, result, state, inner
+        )
 
     def __repr__(self) -> str:
         return f"<instrumented {self.base!r}>"

@@ -5,17 +5,19 @@
 that summarize what a run did, without keeping the event stream around.
 The counters are **engine-independent by construction** — they count
 semantic events (expression evaluations, monitor hook calls), not
-implementation steps — so the reference derivation and the staged compiled
-engine produce *identical* metrics for the same program and monitor stack.
-The engine-parity suite asserts exactly this.
+implementation steps — so the reference derivation and both fast engines
+produce *identical* metrics for the same program and monitor stack.  The
+engine-parity suite asserts exactly this.
 
 Counter definitions:
 
 * ``steps`` — expression-node evaluations: one per evaluation of a source
   node, the granularity at which the reference interpreter recurs.  The
-  compiled engine counts at the same granularity (its collapse
-  optimizations are disabled while counting), so the number is comparable
-  across engines.
+  fast engines keep their optimizations and charge each straight-line
+  block's static weight instead (the reference steps that block stands
+  for), so the number is comparable across engines.  Counts are exact for
+  runs that complete; a run that raises may have charged its failing
+  block in full.
 * ``applications`` — evaluations of application (``App``) nodes, i.e.
   function-application expressions entered (curried primitive
   applications count one per ``App`` node).

@@ -37,9 +37,12 @@ with the run options the other engines take: ``initial_ms`` seeds the
 monitor state vector, ``fault_log`` switches the residual hooks onto the
 fault-isolated path (quarantine/log), ``max_steps``/``deadline`` activate
 a guarded variant of the code, and a :class:`~repro.observability
-.instrument.Telemetry` passed to :func:`generate_program` produces
-*counted-mode* code whose step counters match the reference interpreter's
-node granularity exactly.
+.instrument.Telemetry` activates a *metered* variant.  The metered code
+keeps every optimization above: each straight-line block charges, once,
+the reference-interpreter steps and applications it stands for, so
+``RunMetrics`` match the reference interpreter's node granularity
+exactly while the cached artifact stays shared between metrics-on and
+metrics-off runs.
 
 Residual programs recurse on the host stack; :meth:`GeneratedProgram.run`
 raises the recursion limit for the duration of a run (the trampolined
@@ -56,6 +59,8 @@ import itertools
 import sys
 import threading
 from contextlib import contextmanager
+from functools import partial
+from operator import mul
 from time import perf_counter
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -213,8 +218,9 @@ class ResidualRuntime:
 
     ``fault_log`` switches ``pre``/``post`` onto the fault-isolated path
     (the unclaimed-annotation fallback of quarantine/log policies);
-    ``telemetry`` attaches the counted-mode step counters the generated
-    code calls when produced with counting enabled.
+    ``telemetry`` is the run's counter record: the metered code variant
+    charges its block weights through :meth:`charge`, and every hook call
+    goes through the telemetry's hook bookkeeping.
     """
 
     #: The empty list value, read by generated code.
@@ -245,6 +251,18 @@ class ResidualRuntime:
             )
             for site in self.sites
         ]
+        if telemetry is not None:
+            # Observed runs call every hook through the telemetry's
+            # bookkeeping, and the metered code charges its blocks here.
+            self.charge = telemetry.charge
+            self._site_table = [
+                (
+                    partial(telemetry.pre, site.monitor),
+                    partial(telemetry.post, site.monitor),
+                )
+                + entry[2:]
+                for site, entry in zip(self.sites, self._site_table)
+            ]
         self.locations = list(locations)
         self.fault_log = fault_log
         self.guard = None
@@ -253,34 +271,13 @@ class ResidualRuntime:
         if fault_log is not None:
             self.pre = self._pre_isolated
             self.post = self._post_isolated
-        if telemetry is not None:
-            metrics = telemetry.metrics
-            hook = telemetry.step_hook
-            if hook is None:
-
-                def count_step():
-                    metrics.steps += 1
-
-                def count_app():
-                    metrics.steps += 1
-                    metrics.applications += 1
-
-            else:
-
-                def count_step():
-                    metrics.steps += 1
-                    hook()
-
-                def count_app():
-                    metrics.steps += 1
-                    metrics.applications += 1
-                    hook()
-
-            self.count_step = count_step
-            self.count_app = count_app
 
     def reset(self) -> None:
         self.states = {m.key: m.initial_state() for m in self.monitors}
+
+    def charge_blocks(self, counts, steps, applications) -> None:
+        """Charge counted block executions at their static weights."""
+        self.charge(sum(map(mul, counts, steps)), sum(map(mul, counts, applications)))
 
     # -- helpers referenced from generated code --------------------------------
 
@@ -393,14 +390,26 @@ class ResidualRuntime:
 
 
 class _Emitter:
-    """Accumulates indented source lines."""
+    """Accumulates indented source lines.
+
+    A reserved line is held as its indent level (an ``int``) until
+    :meth:`fill` writes it; unfilled reservations never reach the source.
+    """
 
     def __init__(self) -> None:
-        self.lines: List[str] = []
+        self.lines: List[object] = []
         self.indent = 0
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
+
+    def reserve(self) -> int:
+        """Reserve a line at the current point; returns its index."""
+        self.lines.append(self.indent)
+        return len(self.lines) - 1
+
+    def fill(self, index: int, line: str) -> None:
+        self.lines[index] = "    " * self.lines[index] + line
 
     @contextmanager
     def block(self):
@@ -411,7 +420,25 @@ class _Emitter:
             self.indent -= 1
 
     def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return "\n".join(line for line in self.lines if type(line) is str) + "\n"
+
+
+class _Block:
+    """One metered straight-line block: its head line and static weight.
+
+    ``arms`` records the first branch at the block's own level: every
+    completed execution of the block runs exactly one of the two arm
+    blocks, so plain counting moves the block's weight into them.
+    """
+
+    __slots__ = ("line", "name", "steps", "applications", "arms")
+
+    def __init__(self, line: int, name: str) -> None:
+        self.line = line
+        self.name = name
+        self.steps = 0
+        self.applications = 0
+        self.arms: Optional[Tuple["_Block", "_Block"]] = None
 
 
 #: Binary primitives whose behavior on two exact-``int`` operands is a
@@ -432,6 +459,11 @@ _INLINE_INT_BINOPS = {
 }
 
 
+def _tuple(items) -> str:
+    """Source for a tuple display of ``items``."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
 def _is_int_literal(atom: str) -> bool:
     """Whether a generated atom is an integer literal (repr of an int)."""
     return atom.lstrip("-").isdigit()
@@ -440,24 +472,31 @@ def _is_int_literal(atom: str) -> bool:
 class _Generator:
     """ANF generator for one (program, monitor stack) pair.
 
-    ``counted=True`` produces counted-mode code: every expression node
-    charges the runtime's step counters at its evaluation point (the
-    reference interpreter's ``recur`` granularity) and every collapse
-    optimization is disabled, so :class:`~repro.observability.metrics
-    .RunMetrics` compares equal across all three engines.
-
     ``guarded=True`` makes every generated function begin with a ``_g()``
     resource-guard call; :meth:`GeneratedProgram.run` execs this variant
     lazily, only when a run actually requests ``max_steps``/``deadline``,
     so the unguarded fast path stays call-free.
+
+    ``meter`` produces the *metered* variant a run with telemetry uses.
+    Every collapse optimization stays on; each straight-line block
+    instead charges, once, the reference-interpreter steps and ``App``
+    nodes it stands for (its static weight):
+
+    * ``"counts"`` — blocks start at a function entry or a branch arm;
+      each bumps its own execution counter (gcov's arc counters), and the
+      weighted totals reach the run's telemetry when the program exits;
+    * ``"steps"`` — for sinks that want ``step`` events: blocks also end
+      at every call and monitor hook, and each charges the telemetry
+      directly, so its step events land between the same hook events as
+      the reference interpreter's per-node steps.
     """
 
     def __init__(
         self,
         monitors: Sequence[MonitorSpec],
         *,
-        counted: bool = False,
         guarded: bool = False,
+        meter: Optional[str] = None,
         erased: frozenset = frozenset(),
     ) -> None:
         self.monitors = list(monitors)
@@ -465,8 +504,15 @@ class _Generator:
         self.locations: List[object] = []
         self.counter = itertools.count()
         self.emitter = _Emitter()
-        self.counted = counted
         self.guarded = guarded
+        self.meter = meter
+        #: The metered block currently being charged (``None`` unmetered).
+        self.block: Optional[_Block] = None
+        self.blocks: List[_Block] = []
+        #: Blocks opened inside each residual def being generated, and
+        #: each def's reserved ``nonlocal`` line (counts flavor).
+        self.def_blocks: List[List[_Block]] = []
+        self.def_counters: List[Tuple[int, List[_Block]]] = []
         #: ``id()``s of Annotated nodes the flow analysis proved
         #: unreachable: their hooks are erased (the per-site dispatch
         #: table never sees them), which is observation-free because the
@@ -493,25 +539,90 @@ class _Generator:
         self.locations.append(location)
         return len(self.locations) - 1
 
-    def _count(self, expr: Expr) -> None:
-        if self.counted:
-            self.emitter.emit("_ca()" if type(expr) is App else "_cs()")
+    # -- block metering ------------------------------------------------------------
+
+    def _open_block(self) -> Optional[_Block]:
+        """Start a metered block at the current emission point."""
+        if self.meter is None:
+            return None
+        block = _Block(self.emitter.reserve(), f"_b{len(self.blocks)}")
+        self.blocks.append(block)
+        if self.def_blocks:
+            self.def_blocks[-1].append(block)
+        self.block = block
+        return block
+
+    def _charge(self, steps: int, applications: int = 0) -> None:
+        """Add reference-interpreter node evaluations to the current block."""
+        block = self.block
+        if block is not None:
+            block.steps += steps
+            block.applications += applications
+
+    def _boundary(self) -> None:
+        """A call or hook was just emitted: step events must not cross it."""
+        if self.meter == "steps":
+            self._open_block()
+
+    def _fill_step_charges(self) -> None:
+        for block in self.blocks:
+            if block.steps or block.applications:
+                self.emitter.fill(
+                    block.line, f"_ch({block.steps}, {block.applications})"
+                )
+
+    def _fill_block_counters(self, init: int) -> str:
+        """Settle the counts-flavor blocks; returns the flush statement.
+
+        Weights move down into branch arms first (the arc-counter trick:
+        a block that always continues into one of two arms needs no
+        counter of its own), so a function call typically bumps a
+        single counter.  Creation order is pre-order, so a block's
+        weight reaches its arms before they pass it on.  ``init`` is the
+        reserved line that zeroes the counters.
+        """
+        for block in self.blocks:
+            if block.arms is not None:
+                for arm in block.arms:
+                    arm.steps += block.steps
+                    arm.applications += block.applications
+                block.steps = block.applications = 0
+        counting = [b for b in self.blocks if b.steps or b.applications]
+        if counting:
+            self.emitter.fill(init, " = ".join(b.name for b in counting) + " = 0")
+        for block in counting:
+            self.emitter.fill(block.line, f"{block.name} += 1")
+        counting_ids = set(map(id, counting))
+        for line, blocks in self.def_counters:
+            names = [b.name for b in blocks if id(b) in counting_ids]
+            if names:
+                self.emitter.fill(line, f"nonlocal {', '.join(names)}")
+        # Flat tuples, not a ``+`` chain: the compiler recurses on nested
+        # binary operations and would fail on programs with thousands of
+        # blocks.
+        return (
+            f"_rt.charge_blocks({_tuple(b.name for b in counting)}, "
+            f"{_tuple(b.steps for b in counting)}, "
+            f"{_tuple(b.applications for b in counting)})"
+        )
 
     # -- expression generation ---------------------------------------------------
     #
     # gen(expr, scope) emits statements computing expr and returns a Python
     # *atom* (a name or literal) holding its value.  ``scope`` maps source
-    # names to generated Python atoms.
+    # names to generated Python atoms.  Each node charges its reference
+    # step at the point the reference interpreter would enter it, so the
+    # metered variant's block weights follow evaluation order.
 
     def gen(self, expr: Expr, scope: Dict[str, str]) -> str:
         node_type = type(expr)
 
         if node_type is Const:
-            self._count(expr)
+            self._charge(1)
             return repr(expr.value)
 
         if node_type is Var:
-            self._count(expr)
+            self._charge(1)
             name = expr.name
             if name in scope:
                 return scope[name]
@@ -526,7 +637,7 @@ class _Generator:
             return out
 
         if node_type is Lam:
-            self._count(expr)
+            self._charge(1)
             return self._gen_function(expr.param, expr.body, scope, display=None)
 
         if node_type is If:
@@ -536,7 +647,7 @@ class _Generator:
             return self._gen_app(expr, scope)
 
         if node_type is Let:
-            self._count(expr)
+            self._charge(1)
             bound_atom = self.gen(expr.bound, scope)
             # A let binding is a compile-time alias: the bound atom is a
             # single-assignment temp or literal, so no runtime copy exists.
@@ -545,7 +656,7 @@ class _Generator:
             return self.gen(expr.body, inner)
 
         if node_type is Letrec:
-            self._count(expr)
+            self._charge(1)
             inner = dict(scope)
             py_names = {}
             for name, _ in expr.bindings:
@@ -570,7 +681,7 @@ class _Generator:
                     lam = lam.body
                 assert isinstance(lam, Lam)
                 # Figure 2 builds the recursive Fun values directly, so
-                # the bound lambdas are not separately counted nodes.
+                # the bound lambdas are no reference steps of their own.
                 self._gen_function(
                     lam.param,
                     lam.body,
@@ -608,11 +719,19 @@ class _Generator:
             self.fn_returns_fn.add(fn_name)
         inner = dict(scope)
         inner[param] = param_py
+        outer_block = self.block
         with emitter.block():
+            if self.meter == "counts":
+                self.def_blocks.append([])
+                self.def_counters.append((emitter.reserve(), self.def_blocks[-1]))
             if self.guarded:
                 emitter.emit("_g()")
+            self._open_block()
             result = self.gen(body, inner)
             emitter.emit(f"return {result}")
+            if self.meter == "counts":
+                self.def_blocks.pop()
+        self.block = outer_block
         # The display string makes the residual function render exactly
         # like the reference Closure (answer/error-message parity).  It is
         # keyed by the def's code object after exec — emitting a setattr
@@ -621,7 +740,7 @@ class _Generator:
         return fn_name
 
     def _gen_if(self, expr: If, scope: Dict[str, str]) -> str:
-        self._count(expr)
+        self._charge(1)
         emitter = self.emitter
         cond_atom = self.gen(expr.cond, scope)
         if not cond_atom.isidentifier():
@@ -631,17 +750,27 @@ class _Generator:
             cond_atom = named
         out = self.fresh()
         loc = self._loc(expr.location)
+        before = self.block
         emitter.emit(f"if {cond_atom} is True:")
         with emitter.block():
+            then_block = self._open_block()
             then_atom = self.gen(expr.then_branch, scope)
             emitter.emit(f"{out} = {then_atom}")
         emitter.emit(f"elif {cond_atom} is False:")
         with emitter.block():
+            else_block = self._open_block()
             else_atom = self.gen(expr.else_branch, scope)
             emitter.emit(f"{out} = {else_atom}")
         emitter.emit("else:")
         with emitter.block():
             emitter.emit(f"{out} = _be({cond_atom}, {loc})")
+        # The join point always follows the block before the branch, so
+        # plain counting keeps charging that block; step events must not
+        # cross the arms' hooks, so they start a new one.
+        self.block = before
+        if self.meter == "counts" and before.arms is None:
+            before.arms = (then_block, else_block)
+        self._boundary()
         return out
 
     def _static_primitive(self, expr: Expr, scope: Dict[str, str]) -> Optional[str]:
@@ -651,103 +780,104 @@ class _Generator:
         return None
 
     def _gen_app(self, expr: App, scope: Dict[str, str]) -> str:
-        self._count(expr)
-        # Collapse optimizations are off in counted mode: every node must
-        # charge its own step, so applications stay node-by-node.
-        if not self.counted:
-            # Saturated primitive applications become direct calls.
-            unary = self._static_primitive(expr.fn, scope)
-            if unary is not None and PRIMITIVE_TABLE[unary][0] == 1:
-                arg_atom = self.gen(expr.arg, scope)
-                out = self.fresh()
-                self.emitter.emit(f"{out} = {_PRIM_PY_NAMES[unary]}({arg_atom})")
-                return out
+        self._charge(1, 1)
+        # Saturated primitive applications become direct calls.  The
+        # collapsed operator nodes still charge their reference steps, in
+        # Figure 2 order.
+        unary = self._static_primitive(expr.fn, scope)
+        if unary is not None and PRIMITIVE_TABLE[unary][0] == 1:
+            arg_atom = self.gen(expr.arg, scope)
+            self._charge(1)  # the operator variable
+            out = self.fresh()
+            self.emitter.emit(f"{out} = {_PRIM_PY_NAMES[unary]}({arg_atom})")
+            return out
 
-            if type(expr.fn) is App:
-                binary = self._static_primitive(expr.fn.fn, scope)
-                if binary is not None and PRIMITIVE_TABLE[binary][0] == 2:
-                    # Figure 2 order: outer argument (right operand) first.
-                    right_atom = self.gen(expr.arg, scope)
-                    left_atom = self.gen(expr.fn.arg, scope)
-                    out = self.fresh()
-                    op = _INLINE_INT_BINOPS.get(binary)
-                    if op is not None:
-                        # Int/int operands reduce to the Python operator;
-                        # anything else takes the full primitive (type
-                        # checks, error messages) through the fallback arm.
-                        guards = [
-                            f"type({atom}) is int"
-                            for atom in (left_atom, right_atom)
-                            if not _is_int_literal(atom)
-                        ]
-                        fast = f"{left_atom} {op} {right_atom}"
-                        if not guards:
-                            self.emitter.emit(f"{out} = {fast}")
-                        else:
-                            self.emitter.emit(
-                                f"{out} = {fast} if {' and '.join(guards)} else "
-                                f"{_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
-                            )
-                        return out
-                    self.emitter.emit(
-                        f"{out} = {_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
-                    )
+        if type(expr.fn) is App:
+            binary = self._static_primitive(expr.fn.fn, scope)
+            if binary is not None and PRIMITIVE_TABLE[binary][0] == 2:
+                # Figure 2 order: outer argument (right operand) first.
+                right_atom = self.gen(expr.arg, scope)
+                self._charge(1, 1)  # the inner application
+                left_atom = self.gen(expr.fn.arg, scope)
+                self._charge(1)  # the operator variable
+                out = self.fresh()
+                op = _INLINE_INT_BINOPS.get(binary)
+                if op is not None:
+                    # Int/int operands reduce to the Python operator;
+                    # anything else takes the full primitive (type
+                    # checks, error messages) through the fallback arm.
+                    guards = [
+                        f"type({atom}) is int"
+                        for atom in (left_atom, right_atom)
+                        if not _is_int_literal(atom)
+                    ]
+                    fast = f"{left_atom} {op} {right_atom}"
+                    if not guards:
+                        self.emitter.emit(f"{out} = {fast}")
+                    else:
+                        self.emitter.emit(
+                            f"{out} = {fast} if {' and '.join(guards)} else "
+                            f"{_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
+                        )
                     return out
-
-            # A statically-known residual function: call it directly.  The
-            # operator is a pure variable reference, so evaluating the
-            # argument first (Figure 2 order) is preserved.
-            if type(expr.fn) is Var and scope.get(expr.fn.name) in self.known_fns:
-                fn_py = scope[expr.fn.name]
-                arg_atom = self.gen(expr.arg, scope)
-                out = self.fresh()
-                self.emitter.emit(f"{out} = {fn_py}({arg_atom})")
-                if fn_py in self.fn_returns_fn:
-                    self.callable_atoms.add(out)
+                self.emitter.emit(
+                    f"{out} = {_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
+                )
                 return out
+
+        # A statically-known residual function: call it directly.  The
+        # operator is a pure variable reference, so evaluating the
+        # argument first (Figure 2 order) is preserved.
+        if type(expr.fn) is Var and scope.get(expr.fn.name) in self.known_fns:
+            fn_py = scope[expr.fn.name]
+            arg_atom = self.gen(expr.arg, scope)
+            self._charge(1)  # the operator variable
+            out = self.fresh()
+            self.emitter.emit(f"{out} = {fn_py}({arg_atom})")
+            self._boundary()
+            if fn_py in self.fn_returns_fn:
+                self.callable_atoms.add(out)
+            return out
 
         # General application: argument before operator, as in Figure 2.
         arg_atom = self.gen(expr.arg, scope)
         fn_atom = self.gen(expr.fn, scope)
         out = self.fresh()
-        if not self.counted and (
-            fn_atom in self.known_fns or fn_atom in self.callable_atoms
-        ):
+        if fn_atom in self.known_fns or fn_atom in self.callable_atoms:
             # The operator atom is statically a residual function (a
             # just-generated def, or the result of a curried known call):
             # apply it natively.
             self.emitter.emit(f"{out} = {fn_atom}({arg_atom})")
         else:
             self.emitter.emit(f"{out} = _apply({fn_atom}, {arg_atom})")
+        self._boundary()
         return out
 
     def _gen_annotated(self, expr: Annotated, scope: Dict[str, str]) -> str:
+        # Every annotated node is one reference step, claimed or not.
+        self._charge(1)
         if id(expr) in self.erased:
             # Statically unreachable site (optimize="flow"): generate it
-            # exactly like an unrecognized annotation.  The node still
-            # charges its counted-mode step — trivially parity-safe, the
-            # code never runs.
-            self._count(expr)
+            # exactly like an unrecognized annotation.
             return self.gen(expr.body, scope)
         for monitor in reversed(self.monitors):
             annotation = monitor.recognize(expr.annotation)
             if annotation is not None:
-                self._count(expr)
                 site_id = len(self.sites)
                 self.sites.append(_Site(monitor, annotation, expr.body))
                 locals_literal = (
                     "{" + ", ".join(f"{src!r}: {py}" for src, py in scope.items()) + "}"
                 )
                 self.emitter.emit(f"_pre({site_id}, {locals_literal})")
+                self._boundary()
                 body_atom = self.gen(expr.body, scope)
                 out = self.fresh()
                 self.emitter.emit(
                     f"{out} = _post({site_id}, {locals_literal}, {body_atom})"
                 )
+                self._boundary()
                 return out
-        # Unrecognized annotation: erased at specialization time (the node
-        # still charges its reference-interpreter step in counted mode).
-        self._count(expr)
+        # Unrecognized annotation: erased at specialization time.
         return self.gen(expr.body, scope)
 
     # -- whole program ------------------------------------------------------------
@@ -770,16 +900,34 @@ class _Generator:
             emitter.emit("_ub = _rt.unbound")
             if self.guarded:
                 emitter.emit("_g = _rt.guard")
-            if self.counted:
-                emitter.emit("_cs = _rt.count_step")
-                emitter.emit("_ca = _rt.count_app")
+            if self.meter == "steps":
+                emitter.emit("_ch = _rt.charge")
             used = sorted(self._primitives_used(program))
             for name in used:
                 emitter.emit(f"{_PRIM_PY_NAMES[name]} = _rt.prims[{name!r}].fn")
                 emitter.emit(f"_prim_{_PRIM_PY_NAMES[name][2:]} = _rt.prims[{name!r}]")
-            result = self.gen(program, {})
-            emitter.emit(f"return {result}")
+            if self.meter == "counts":
+                # Each counting block bumps its own execution counter, a
+                # local of this frame (a nonlocal in residual defs); the
+                # run's telemetry gets the weighted totals however the
+                # program exits.
+                init = emitter.reserve()
+                emitter.emit("try:")
+                with emitter.block():
+                    self._gen_entry(program)
+                emitter.emit("finally:")
+                with emitter.block():
+                    emitter.emit(self._fill_block_counters(init))
+            else:
+                self._gen_entry(program)
+                if self.meter == "steps":
+                    self._fill_step_charges()
         return emitter.source()
+
+    def _gen_entry(self, program: Expr) -> None:
+        self._open_block()
+        result = self.gen(program, {})
+        self.emitter.emit(f"return {result}")
 
     @staticmethod
     def _primitives_used(program: Expr) -> set:
@@ -819,13 +967,13 @@ class GeneratedProgram:
     one ``GeneratedProgram`` may run any number of times and from any
     number of threads concurrently — each :meth:`run` builds a fresh
     :class:`ResidualRuntime` carrying that run's monitor states, fault
-    log and resource guard.  The compilation cache shares artifacts
-    across the batch runtime's worker threads on this basis.
+    log, resource guard and telemetry.  The compilation cache shares
+    artifacts across the batch runtime's worker threads on this basis,
+    metrics-on and metrics-off runs alike.
 
-    The one exception is counted-mode code (built via
-    ``generate_program(..., telemetry=...)``): its step counters are
-    bound to one telemetry accumulator, so such programs are per-run and
-    never cached — the same rule the compiled engine follows.
+    ``source`` is the plain variant.  The guarded and metered variants
+    are exec'd lazily from the same generator (same site and location
+    numbering), the first time a run needs them.
     """
 
     def __init__(
@@ -835,30 +983,27 @@ class GeneratedProgram:
         sites: Sequence[_Site],
         monitors: Tuple[MonitorSpec, ...],
         locations: Sequence = (),
-        telemetry=None,
-        counted: bool = False,
-        guarded_factory: Optional[Callable[[], Callable]] = None,
+        variant_factory: Optional[Callable[[bool, Optional[str]], Callable]] = None,
     ) -> None:
         self.source = source
         self._entry = entry
         self._sites = list(sites)
         self.monitors = monitors
         self._locations = tuple(locations)
-        self._telemetry = telemetry
-        self.counted = counted
-        self._guarded_factory = guarded_factory
-        self._guarded_entry: Optional[Callable] = None
+        self._variant_factory = variant_factory
+        self._variants: Dict[Tuple[bool, Optional[str]], Callable] = {}
 
-    def _resolve_entry(self, needs_guard: bool) -> Callable:
-        """The unguarded entry, or the lazily-exec'd guarded variant."""
-        if not needs_guard or self._guarded_factory is None:
+    def _resolve_entry(self, guarded: bool, meter: Optional[str]) -> Callable:
+        """The plain entry, or a lazily-exec'd guarded and/or metered one."""
+        if (not guarded and meter is None) or self._variant_factory is None:
             return self._entry
-        entry = self._guarded_entry
+        variant = (guarded, meter)
+        entry = self._variants.get(variant)
         if entry is None:
             # A benign race: two threads may both build the variant; both
             # results are equivalent and either may win.
-            entry = self._guarded_factory()
-            self._guarded_entry = entry
+            entry = self._variant_factory(guarded, meter)
+            self._variants[variant] = entry
         return entry
 
     def run(
@@ -870,6 +1015,7 @@ class GeneratedProgram:
         fault_log=None,
         deadline: Optional[float] = None,
         recursion_limit: int = 100_000,
+        telemetry=None,
     ):
         """Execute, returning ``(answer, MonitorStateVector)``.
 
@@ -877,19 +1023,24 @@ class GeneratedProgram:
         engines' ``run`` does); ``fault_log`` switches the residual hooks
         onto the fault-isolated path for this run; ``max_steps`` /
         ``deadline`` bound the run at function-entry granularity through
-        the guarded code variant.
+        the guarded code variant; ``telemetry`` (a
+        :class:`~repro.observability.instrument.Telemetry`) runs the
+        metered variant, charging this run's counters.
         """
         runtime = ResidualRuntime(
             self._sites,
             self.monitors,
             locations=self._locations,
             fault_log=fault_log,
-            telemetry=self._telemetry,
+            telemetry=telemetry,
         )
         if initial_ms is not None:
             runtime.states = {m.key: initial_ms.get(m.key) for m in self.monitors}
         needs_guard = max_steps is not None or deadline is not None
-        entry = self._resolve_entry(needs_guard)
+        meter = None
+        if telemetry is not None:
+            meter = "steps" if telemetry.wants_steps else "counts"
+        entry = self._resolve_entry(needs_guard, meter)
         if needs_guard:
             runtime.guard = _make_guard(max_steps, deadline)
         _acquire_recursion_limit(recursion_limit)
@@ -972,13 +1123,11 @@ def _erased_nodes(program: Expr, flow) -> frozenset:
 def _build(
     program: Expr,
     monitor_list,
-    counted: bool,
     guarded: bool,
+    meter: Optional[str] = None,
     erased: frozenset = frozenset(),
 ):
-    generator = _Generator(
-        monitor_list, counted=counted, guarded=guarded, erased=erased
-    )
+    generator = _Generator(monitor_list, guarded=guarded, meter=meter, erased=erased)
     source = generator.generate_module(program)
     namespace: Dict[str, object] = {}
     exec(compile(source, "<residual>", "exec"), namespace)  # noqa: S102
@@ -992,18 +1141,14 @@ def generate_program(
     monitors: MonitorLike = (),
     *,
     check_disjointness: bool = True,
-    telemetry=None,
     flow=None,
 ) -> GeneratedProgram:
     """Specialize and emit ``program`` as residual Python source.
 
-    ``telemetry`` (a :class:`~repro.observability.instrument.Telemetry`)
-    switches generation into counted mode: the residual code charges the
-    telemetry's step/application counters at every expression node, at
-    the reference interpreter's granularity, with every collapse
-    optimization disabled — so ``RunMetrics`` compares equal across
-    engines.  Counted programs are bound to that telemetry object and
-    must not be cached.
+    The result serves every run option: telemetry, resource limits and
+    fault policies select lazily-built variants of the same code at
+    :meth:`GeneratedProgram.run` time, so one artifact is cacheable for
+    all of them.
 
     ``flow`` (a :class:`~repro.analysis.flow.FlowAnalysis` for the same
     program x stack) erases monitoring hooks at sites the analysis
@@ -1015,19 +1160,18 @@ def generate_program(
     validate_observations(monitor_list)
     if check_disjointness:
         check_disjoint(monitor_list, program)
-    counted = telemetry is not None
     erased = _erased_nodes(program, flow)
     source, entry, sites, locations = _build(
-        program, monitor_list, counted, guarded=False, erased=erased
+        program, monitor_list, guarded=False, erased=erased
     )
 
-    def guarded_factory() -> Callable:
-        # Site/location numbering is deterministic, so the guarded variant
+    def variant_factory(guarded: bool, meter: Optional[str]) -> Callable:
+        # Site/location numbering is deterministic, so every variant
         # shares the primary build's tables.
-        _, guarded_entry, _, _ = _build(
-            program, monitor_list, counted, guarded=True, erased=erased
+        _, variant_entry, _, _ = _build(
+            program, monitor_list, guarded=guarded, meter=meter, erased=erased
         )
-        return guarded_entry
+        return variant_entry
 
     return GeneratedProgram(
         source,
@@ -1035,7 +1179,5 @@ def generate_program(
         sites,
         tuple(monitor_list),
         locations=locations,
-        telemetry=telemetry,
-        counted=counted,
-        guarded_factory=guarded_factory,
+        variant_factory=variant_factory,
     )

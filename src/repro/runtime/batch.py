@@ -277,19 +277,36 @@ class RunResult:
 
 
 def _render_value(value: object) -> object:
-    """JSON-safe rendering: scalars pass, containers recurse, rest ``str``."""
+    """JSON-safe rendering: scalars pass, containers recurse, rest ``str``.
+
+    Sets render as lists in sorted rendered order: their iteration order
+    follows string hashing, which differs between processes, and the
+    wire format must not.
+    """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, dict):
         return {str(k): _render_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_render_value(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted((_render_value(item) for item in value), key=_render_order)
     from repro.semantics.values import value_to_string
 
     try:
         return value_to_string(value)
     except Exception:
         return str(value)
+
+
+def _render_order(rendered: object) -> Tuple:
+    """A total order on rendered values: numbers numerically, then the
+    rest by their canonical JSON text."""
+    if isinstance(rendered, (int, float)) and not isinstance(rendered, bool):
+        return (0, rendered, "")
+    import json
+
+    return (1, 0, json.dumps(rendered, sort_keys=True))
 
 
 def admission_failure(

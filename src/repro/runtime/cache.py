@@ -20,18 +20,16 @@ code:
   hit);
 * the **fault policy** (non-``propagate`` policies compile isolation
   checks into every monitored node);
-* the **counted-mode flag** (counted code burns in a telemetry object, so
-  such entries are never produced by :meth:`CompilationCache.get_or_compile`
-  — telemetry runs bypass the cache — but the flag keeps the keyspace
-  honest);
 * the **engine** (``"compiled"`` staged closures vs ``"codegen"``
   residual Python source — two artifact kinds sharing one LRU).
 
-Cached programs are **thread-reusable**: per-run mutable state (the fault
-log) travels through a thread-local run context set by
-``CompiledProgram.run``, never through the compiled closures.
+Telemetry is not in the key: metrics-on and metrics-off runs share one
+entry, the former running its lazily built metered variant.  Cached
+programs are **thread-reusable**: per-run mutable state (the fault log,
+the run's counters) travels through the per-run context each ``run``
+sets up, never through the compiled code.
 
-Hits, misses and evictions are counted (:meth:`CompilationCache.stats`)
+Hits, misses and evictions are tallied (:meth:`CompilationCache.stats`)
 and — when the cache is built with an ``event_sink`` — surfaced on the
 observability event stream as ``cache-hit``/``cache-miss``/``cache-evict``
 events carrying a short key digest.
@@ -86,7 +84,6 @@ def cache_key(
     monitors: Sequence,
     *,
     fault_policy: str = "propagate",
-    counted: bool = False,
     engine: str = "compiled",
     optimize: str = "none",
 ) -> Tuple:
@@ -104,7 +101,6 @@ def cache_key(
         getattr(language, "name", str(language)),
         tuple(monitor.cache_identity() for monitor in monitors),
         fault_policy,
-        counted,
         engine,
         optimize,
     )
@@ -211,7 +207,6 @@ class CompilationCache:
         monitors: Sequence,
         *,
         fault_policy: str = "propagate",
-        counted: bool = False,
         engine: str = "compiled",
         optimize: str = "none",
     ):
@@ -223,19 +218,12 @@ class CompilationCache:
         (:func:`repro.partial_eval.codegen.generate_program`).  Both are
         thread-reusable, so warm entries serve concurrent batch workers.
 
-        ``counted=True`` is rejected: counted-mode code burns the run's own
-        telemetry accumulator into every node, so telemetry runs must
-        compile fresh (callers bypass the cache for them).
+        The entry serves runs with and without telemetry alike.
 
         ``optimize="flow"`` (codegen only) erases hooks at sites the
         claim-flow analysis proves unreachable; the verdict itself comes
         from :meth:`flow_verdict`, so warm traffic pays one memo lookup.
         """
-        if counted:
-            raise ValueError(
-                "counted-mode programs are not cacheable: counted code burns "
-                "in a per-run telemetry object; compile fresh for telemetry runs"
-            )
         if engine not in ("compiled", "codegen"):
             raise ValueError(
                 f"cache has no compiler for engine {engine!r}; "
@@ -250,7 +238,6 @@ class CompilationCache:
             program,
             monitors,
             fault_policy=fault_policy,
-            counted=False,
             engine=engine,
             optimize=optimize,
         )

@@ -168,8 +168,10 @@ def _worker_main(worker_id: int, request_queue, result_queue, init) -> None:
 
     Runs in the child process.  Protocol (messages on ``result_queue``):
     ``("ready", wid, pid)`` once warm, ``("start", wid, id)`` when a
-    request is picked up, ``("done", wid, id, result_dict)`` when it
-    finishes.  The start/done pair tells the parent which request was
+    request is picked up, ``("done", wid, id, result_dict, flow_stats)``
+    when it finishes (``flow_stats`` is the worker cache's claim-flow memo
+    counters, surfaced by the pool's :meth:`ProcessPoolRunner.stats`).
+    The start/done pair tells the parent which request was
     running if this process dies mid-run — but delivery races death, so
     the parent's crash accounting keys off its own submitted-but-unacked
     set, not these acks alone.
@@ -221,7 +223,9 @@ def _worker_main(worker_id: int, request_queue, result_queue, init) -> None:
                     },
                 )
             )
-        result_queue.put(("done", worker_id, request_id, result.to_dict()))
+        result_queue.put(
+            ("done", worker_id, request_id, result.to_dict(), cache.flow_stats())
+        )
     if sink is not None:
         sink.close()
 
@@ -257,6 +261,8 @@ class _Worker:
         self.inflight: Dict[int, None] = {}
         self.ready = False
         self.restarts = 0
+        #: The worker cache's latest claim-flow memo counters.
+        self.flow: Dict[str, int] = {}
 
     def spawn(self, ctx, result_queue, init) -> None:
         self.ready = False
@@ -460,6 +466,10 @@ class ProcessPoolRunner:
                 "pending": len(self._pending),
                 "crashes": self._crashes,
                 "restarts": sum(worker.restarts for worker in self._pool),
+                "flow": {
+                    name: sum(worker.flow.get(name, 0) for worker in self._pool)
+                    for name in ("hits", "misses", "size")
+                },
             }
 
     # -- events --------------------------------------------------------------
@@ -603,9 +613,10 @@ class ProcessPoolRunner:
                     if pending is not None:
                         pending.started = True
             elif kind == "done":
-                _, worker_id, request_id, payload = message
+                _, worker_id, request_id, payload, flow = message
                 with self._lock:
                     worker = self._pool[worker_id]
+                    worker.flow = flow
                     if worker.current == request_id:
                         worker.current = None
                     worker.inflight.pop(request_id, None)

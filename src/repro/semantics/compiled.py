@@ -33,6 +33,15 @@ removes all three overheads by *staging* evaluation:
    fast path, and one-monitor stacks thread the copy-free
    :class:`~repro.monitoring.state.SingleSlotVector`.
 
+4. **Telemetry by block weights.**  A run with telemetry executes a
+   *metered* closure tree, compiled lazily from the same program with
+   every optimization above intact: each closure — a collapsed trivial
+   subtree included — charges, once, the reference-interpreter steps and
+   ``App`` nodes it stands for, into the run's counter record found
+   through the per-thread run context.  ``RunMetrics`` therefore match the
+   reference engine's exactly while one cached ``CompiledProgram`` serves
+   metrics-on and metrics-off runs alike.
+
 The reference interpreter remains the oracle: `tests/test_engine_parity.py`
 checks answers, final monitor states, and raised error types agree on
 random programs.  Tail calls use the ``__slots__`` step variants
@@ -73,13 +82,14 @@ from repro.syntax.ast import (
 Code = Callable[[list, Callable, object], Step]
 
 #: Per-thread run context.  Fault-isolated code needs the *current run's*
-#: :class:`~repro.monitoring.faults.FaultLog`; burning the log into the
-#: compiled closures (the pre-PR-4 design) made a ``CompiledProgram``
-#: single-run property, which the compilation cache cannot share across
-#: concurrent requests.  A trampoline run happens entirely on one thread,
-#: so :meth:`CompiledProgram.run` parks the run's log here and the
-#: isolated closures read it back at each activation — one thread-local
-#: attribute read, paid only on the (already slow) isolated path.
+#: :class:`~repro.monitoring.faults.FaultLog`, and metered code the current
+#: run's :class:`~repro.observability.instrument.Telemetry`; burning either
+#: into the compiled closures would make a ``CompiledProgram`` a single-run
+#: artifact, which the compilation cache cannot share across concurrent
+#: requests.  A trampoline run happens entirely on one thread, so
+#: :meth:`CompiledProgram.run` parks the run's log and telemetry here and
+#: the isolated/metered closures read them back at each activation — one
+#: thread-local attribute read, paid only on those (opt-in) paths.
 _RUN_STATE = threading.local()
 
 
@@ -217,6 +227,57 @@ def _apply(fn_value, arg_value, kont, ms) -> Step:
     )
 
 
+def _trivial_weight(expr: Expr) -> Tuple[int, int]:
+    """``(steps, applications)`` the reference spends on a trivial subtree.
+
+    Trivial subtrees (see :meth:`_Compiler.trivial`) are constants,
+    variables and applications of them, every node of which is evaluated.
+    """
+    if type(expr) is App:
+        fn_steps, fn_apps = _trivial_weight(expr.fn)
+        arg_steps, arg_apps = _trivial_weight(expr.arg)
+        return fn_steps + arg_steps + 1, fn_apps + arg_apps + 1
+    return 1, 0
+
+
+def _charged(code: Code, steps: int, applications: int) -> Code:
+    """``code`` preceded by a charge of its block weight to the run."""
+
+    def code_charged(rib, kont, ms):
+        _RUN_STATE.telemetry.charge(steps, applications)
+        return code(rib, kont, ms)
+
+    return code_charged
+
+
+def _charging(fn: Callable, steps: int, applications: int) -> Callable:
+    """A value computation (getter, primitive) that charges first.
+
+    Continuations compute their collapsed nodes through these, so the
+    charge lands after the subcomputation they resume from.
+    """
+
+    def charging(*args):
+        _RUN_STATE.telemetry.charge(steps, applications)
+        return fn(*args)
+
+    return charging
+
+
+def _metered_hooks(spec) -> Tuple[Callable, Callable]:
+    """``spec``'s hooks routed through the current run's telemetry."""
+
+    def pre(annotation, term, ctx, state, inner=None):
+        return _RUN_STATE.telemetry.pre(spec, annotation, term, ctx, state, inner)
+
+    def post(annotation, term, ctx, result, state, inner=None):
+        return _RUN_STATE.telemetry.post(
+            spec, annotation, term, ctx, result, state, inner
+        )
+
+    return pre, post
+
+
 class _Compiler:
     """One compilation unit: a program, a global env, a monitor stack.
 
@@ -229,16 +290,14 @@ class _Compiler:
     read the per-run log from :data:`_RUN_STATE`, so one compilation can
     serve many (concurrent) runs, each with its own log.
 
-    ``telemetry`` (a :class:`repro.observability.instrument.Telemetry`, or
-    ``None`` for the uninstrumented fast path) switches the compiler into
-    **counted mode**: every collapse optimization is disabled (trivial
-    expressions, fused primitive applications, immediate-lambda beta), and
-    :meth:`compile` wraps each node's code with the step/application
-    counters.  The compiled engine then counts exactly one step per
-    expression-node evaluation — the reference interpreter's granularity —
-    so :class:`~repro.observability.metrics.RunMetrics` compares equal
-    across engines.  Counted mode trades the fast path for comparability;
-    that is the point.
+    ``metered=True`` compiles the variant runs with telemetry use.  It is
+    the same closure tree, every collapse optimization included; each
+    closure additionally charges, once, the reference-interpreter steps
+    and ``App`` nodes it stands for (a collapsed trivial subtree counts
+    every node in it), and monitor hooks go through the run's telemetry.
+    Continuations charge the nodes the reference enters after the
+    subcomputation they resume from, so every charge lands between the
+    same hook events as the reference's per-node steps.
     """
 
     def __init__(
@@ -246,12 +305,24 @@ class _Compiler:
         global_env: Environment,
         monitors: Tuple,
         fault_log=None,
-        telemetry=None,
+        metered: bool = False,
     ) -> None:
         self.global_env = global_env
         self.monitors = monitors
         self.fault_log = fault_log
-        self.telemetry = telemetry
+        self.metered = metered
+
+    def _head(self, code: Code, steps: int, applications: int = 0) -> Code:
+        """``code`` charging ``steps``/``applications`` on entry when metered."""
+        if not self.metered or not (steps or applications):
+            return code
+        return _charged(code, steps, applications)
+
+    def _then(self, fn: Callable, steps: int, applications: int = 0) -> Callable:
+        """``fn`` charging on each call when metered (continuation charges)."""
+        if not self.metered:
+            return fn
+        return _charging(fn, steps, applications)
 
     # -- the resolve pass's trivial-expression analysis -----------------------
 
@@ -264,13 +335,7 @@ class _Compiler:
         trivial operands.  Operand order inside compound trivials matches
         the reference semantics (argument before operator, outermost
         first), so primitive errors surface at the same point.
-
-        Counted mode (telemetry active) reports *nothing* as trivial:
-        collapsing nodes would make the step counters incomparable with
-        the reference engine's.
         """
-        if self.telemetry is not None:
-            return None
         cls = type(expr)
         if cls is Const:
             value = expr.value
@@ -322,52 +387,6 @@ class _Compiler:
     # -- compilation proper ---------------------------------------------------
 
     def compile(self, expr: Expr, scope: Optional[_Scope]) -> Code:
-        """Compile ``expr``; in counted mode, wrap it with step counting.
-
-        The wrapper charges one ``step`` (and one ``application`` for
-        ``App`` nodes) per entry into the node's code — the same quantity
-        :func:`repro.observability.instrument.instrument_functional`
-        counts per ``recur`` on the reference engine.
-        """
-        code = self._compile_node(expr, scope)
-        telemetry = self.telemetry
-        if telemetry is None:
-            return code
-        metrics = telemetry.metrics
-        step_hook = telemetry.step_hook
-        if type(expr) is App:
-            if step_hook is None:
-
-                def code_counted_app(rib, kont, ms):
-                    metrics.steps += 1
-                    metrics.applications += 1
-                    return code(rib, kont, ms)
-
-                return code_counted_app
-
-            def code_counted_app_hook(rib, kont, ms):
-                metrics.steps += 1
-                metrics.applications += 1
-                step_hook()
-                return code(rib, kont, ms)
-
-            return code_counted_app_hook
-        if step_hook is None:
-
-            def code_counted(rib, kont, ms):
-                metrics.steps += 1
-                return code(rib, kont, ms)
-
-            return code_counted
-
-        def code_counted_hook(rib, kont, ms):
-            metrics.steps += 1
-            step_hook()
-            return code(rib, kont, ms)
-
-        return code_counted_hook
-
-    def _compile_node(self, expr: Expr, scope: Optional[_Scope]) -> Code:
         cls = type(expr)
         if cls is Const:
             value = expr.value
@@ -375,10 +394,10 @@ class _Compiler:
             def code_const(rib, kont, ms):
                 return KTail(kont, value, ms)
 
-            return code_const
+            return self._head(code_const, 1)
 
         if cls is Var:
-            return self._compile_var(expr, scope)
+            return self._head(self._compile_var(expr, scope), 1)
 
         if cls is Lam:
             param = expr.param
@@ -387,7 +406,7 @@ class _Compiler:
             def code_lam(rib, kont, ms):
                 return KTail(kont, CompiledClosure(body_code, rib, param, None), ms)
 
-            return code_lam
+            return self._head(code_lam, 1)
 
         if cls is If:
             return self._compile_if(expr, scope)
@@ -399,7 +418,7 @@ class _Compiler:
             return self._compile_let(expr, scope)
 
         if cls is Letrec:
-            return self._compile_letrec(expr, scope)
+            return self._head(self._compile_letrec(expr, scope), 1)
 
         if cls is Annotated:
             return self._compile_annotated(expr, scope)
@@ -448,7 +467,8 @@ class _Compiler:
                     location,
                 )
 
-            return code_if_trivial
+            cond_steps, cond_apps = _trivial_weight(expr.cond)
+            return self._head(code_if_trivial, 1 + cond_steps, cond_apps)
 
         cond_code = self.compile(expr.cond, scope)
 
@@ -465,7 +485,7 @@ class _Compiler:
 
             return cond_code(rib, branch_kont, ms)
 
-        return code_if
+        return self._head(code_if, 1)
 
     def _global_prim(self, node: Expr, scope: Optional[_Scope], arity: int):
         """The primitive a spine head resolves to, if saturated at ``arity``."""
@@ -481,23 +501,26 @@ class _Compiler:
         return None
 
     def _compile_app(self, expr: App, scope: Optional[_Scope]) -> Code:
+        # Block weights: every closure below charges the application node
+        # (one step, one application) plus the trivial operands it
+        # evaluates; a continuation charges what the reference evaluates
+        # after the operand it resumes from (Figure 2: argument, then
+        # operator) — the inner application and/or the operator variable.
         compute = self.trivial(expr, scope)
         if compute is not None:
 
             def code_trivial(rib, kont, ms):
                 return KTail(kont, compute(rib), ms)
 
-            return code_trivial
+            return self._head(code_trivial, *_trivial_weight(expr))
 
         fn_node, arg_node = expr.fn, expr.arg
-        counted = self.telemetry is not None
 
         # Saturated binary primitive with at most one trivial operand.
-        # (Counted mode compiles every fused form node-by-node instead.)
-        if not counted and type(fn_node) is App:
+        if type(fn_node) is App:
             prim = self._global_prim(fn_node.fn, scope, 2)
             if prim is not None:
-                fn2 = prim.fn
+                fn2 = self._then(prim.fn, 1)  # the operator variable
                 left_node = fn_node.arg
                 get_right = self.trivial(arg_node, scope)
                 get_left = self.trivial(left_node, scope)
@@ -512,9 +535,12 @@ class _Compiler:
 
                         return left_code(rib, left_kont, ms)
 
-                    return code_binop_rt
+                    right_steps, right_apps = _trivial_weight(arg_node)
+                    return self._head(code_binop_rt, 2 + right_steps, 2 + right_apps)
                 if get_left is not None:
                     right_code = self.compile(arg_node, scope)
+                    left_steps, left_apps = _trivial_weight(left_node)
+                    get_left = self._then(get_left, 1 + left_steps, 1 + left_apps)
 
                     def code_binop_lt(rib, kont, ms):
                         def right_kont(b, ms_inner):
@@ -522,8 +548,10 @@ class _Compiler:
 
                         return right_code(rib, right_kont, ms)
 
-                    return code_binop_lt
-                left_code = self.compile(left_node, scope)
+                    return self._head(code_binop_lt, 1, 1)
+                # The inner application is entered once the right operand
+                # is done: the left operand's code charges it.
+                left_code = self._head(self.compile(left_node, scope), 1, 1)
                 right_code = self.compile(arg_node, scope)
 
                 def code_binop(rib, kont, ms):
@@ -535,12 +563,12 @@ class _Compiler:
 
                     return right_code(rib, right_kont, ms)
 
-                return code_binop
+                return self._head(code_binop, 1, 1)
 
         # Saturated unary primitive over a general operand.
-        prim = None if counted else self._global_prim(fn_node, scope, 1)
+        prim = self._global_prim(fn_node, scope, 1)
         if prim is not None:
-            fn1 = prim.fn
+            fn1 = self._then(prim.fn, 1)  # the operator variable
             arg_code = self.compile(arg_node, scope)
 
             def code_unop(rib, kont, ms):
@@ -549,12 +577,12 @@ class _Compiler:
 
                 return arg_code(rib, arg_kont, ms)
 
-            return code_unop
+            return self._head(code_unop, 1, 1)
 
         # Immediate lambda application ((lambda x. body) arg) — evaluate
         # like let, skipping the closure allocation.  Safe because a bare
         # Lam in operator position is unobservable (no annotation layer).
-        if not counted and type(fn_node) is Lam:
+        if type(fn_node) is Lam:
             body_code = self.compile(fn_node.body, _Scope((fn_node.param,), scope))
             get_arg = self.trivial(arg_node, scope)
             if get_arg is not None:
@@ -562,8 +590,11 @@ class _Compiler:
                 def code_beta_trivial(rib, kont, ms):
                     return body_code([rib, get_arg(rib)], kont, ms)
 
-                return code_beta_trivial
+                # The application, its operand, and the operator lambda.
+                arg_steps, arg_apps = _trivial_weight(arg_node)
+                return self._head(code_beta_trivial, 2 + arg_steps, 1 + arg_apps)
             arg_code = self.compile(arg_node, scope)
+            body_code = self._head(body_code, 1)  # the operator lambda
 
             def code_beta(rib, kont, ms):
                 def arg_kont(value, ms_inner):
@@ -571,7 +602,7 @@ class _Compiler:
 
                 return arg_code(rib, arg_kont, ms)
 
-            return code_beta
+            return self._head(code_beta, 1, 1)
 
         # General application.  Figure 2 order: argument before operator.
         get_fn = self.trivial(fn_node, scope)
@@ -582,9 +613,14 @@ class _Compiler:
                 arg_value = get_arg(rib)
                 return _apply(get_fn(rib), arg_value, kont, ms)
 
-            return code_app_tt
+            fn_steps, fn_apps = _trivial_weight(fn_node)
+            arg_steps, arg_apps = _trivial_weight(arg_node)
+            return self._head(
+                code_app_tt, 1 + fn_steps + arg_steps, 1 + fn_apps + arg_apps
+            )
         if get_fn is not None:
             arg_code = self.compile(arg_node, scope)
+            get_fn = self._then(get_fn, *_trivial_weight(fn_node))
 
             def code_app_ft(rib, kont, ms):
                 def arg_kont(arg_value, ms_inner):
@@ -592,7 +628,7 @@ class _Compiler:
 
                 return arg_code(rib, arg_kont, ms)
 
-            return code_app_ft
+            return self._head(code_app_ft, 1, 1)
         if get_arg is not None:
             fn_code = self.compile(fn_node, scope)
 
@@ -604,7 +640,8 @@ class _Compiler:
 
                 return fn_code(rib, fn_kont, ms)
 
-            return code_app_at
+            arg_steps, arg_apps = _trivial_weight(arg_node)
+            return self._head(code_app_at, 1 + arg_steps, 1 + arg_apps)
 
         fn_code = self.compile(fn_node, scope)
         arg_code = self.compile(arg_node, scope)
@@ -618,7 +655,7 @@ class _Compiler:
 
             return arg_code(rib, arg_kont, ms)
 
-        return code_app
+        return self._head(code_app, 1, 1)
 
     def _compile_let(self, expr: Let, scope: Optional[_Scope]) -> Code:
         body_code = self.compile(expr.body, _Scope((expr.name,), scope))
@@ -628,7 +665,8 @@ class _Compiler:
             def code_let_trivial(rib, kont, ms):
                 return body_code([rib, get_bound(rib)], kont, ms)
 
-            return code_let_trivial
+            bound_steps, bound_apps = _trivial_weight(expr.bound)
+            return self._head(code_let_trivial, 1 + bound_steps, bound_apps)
 
         bound_code = self.compile(expr.bound, scope)
 
@@ -638,7 +676,7 @@ class _Compiler:
 
             return bound_code(rib, bound_kont, ms)
 
-        return code_let
+        return self._head(code_let, 1)
 
     def _compile_letrec(self, expr: Letrec, scope: Optional[_Scope]) -> Code:
         names = tuple(name for name, _ in expr.bindings)
@@ -686,8 +724,9 @@ class _Compiler:
                 break
         if spec is None:
             # Obliviousness (Definition 7.1), performed at compile time:
-            # unclaimed annotations cost nothing at run time.
-            return self.compile(expr.body, scope)
+            # unclaimed annotations cost nothing at run time (metered
+            # code still charges the annotated node's step).
+            return self._head(self.compile(expr.body, scope), 1)
 
         body_code = self.compile(expr.body, scope)
         body_ast = expr.body
@@ -695,11 +734,14 @@ class _Compiler:
         global_env = self.global_env
         key = spec.key
         observes = tuple(spec.observes)
-        pre, post = spec.pre, spec.post
+        pre, post = _metered_hooks(spec) if self.metered else (spec.pre, spec.post)
 
         if self.fault_log is not None:
-            return self._fault_isolated_annotated(
-                recognized, body_code, body_ast, addresses, key, observes, pre, post
+            return self._head(
+                self._fault_isolated_annotated(
+                    recognized, body_code, body_ast, addresses, key, observes, pre, post
+                ),
+                1,
             )
 
         if observes:
@@ -724,7 +766,7 @@ class _Compiler:
 
                 return body_code(rib, kont_post, ms_pre)
 
-            return code_observing
+            return self._head(code_observing, 1)
 
         def code_monitored(rib, kont, ms):
             ctx = _CompiledContext(rib, addresses, global_env)
@@ -737,7 +779,7 @@ class _Compiler:
 
             return body_code(rib, kont_post, ms_pre)
 
-        return code_monitored
+        return self._head(code_monitored, 1)
 
     def _fault_isolated_annotated(
         self, recognized, body_code, body_ast, addresses, key, observes, pre, post
@@ -823,41 +865,55 @@ class CompiledProgram:
 
     Compilation is pure: running a compiled program builds fresh ribs and
     threads whatever monitor state the caller supplies, so one
-    ``CompiledProgram`` can be executed any number of times — and, when
-    compiled without telemetry, from any number of threads *concurrently*
-    (the serving runtime's compilation cache relies on this).  The two
-    qualifications:
+    ``CompiledProgram`` can be executed any number of times and from any
+    number of threads *concurrently* (the serving runtime's compilation
+    cache relies on this).  Per-run state travels through the per-thread
+    run context, never through the closures:
 
     * ``fault_log`` is per-run mutable bookkeeping.  Sequential callers
       may keep using the compile-time default log (it is reset at each
       :meth:`run`); concurrent callers pass a fresh log per run via
-      ``run(fault_log=...)`` and the isolated closures pick it up through
-      the per-thread run context.
-    * a program compiled in counted mode (``telemetry=``) has that run's
-      counters burned into its code, so it is bound to one telemetry
-      object and is not shareable; ``counted`` flags this.
+      ``run(fault_log=...)`` and the isolated closures pick it up.
+    * ``run(telemetry=...)`` runs the metered closure tree, compiled
+      lazily from the same program on first use, which charges that
+      run's counters.
     """
 
-    __slots__ = ("code", "global_env", "monitors", "fault_log", "counted")
+    __slots__ = (
+        "code", "global_env", "monitors", "fault_log", "_program", "_metered"
+    )
 
     def __init__(
         self,
         code: Code,
         global_env: Environment,
         monitors: Tuple,
-        fault_log=None,
-        counted: bool = False,
+        fault_log,
+        program: Expr,
     ) -> None:
         self.code = code
         self.global_env = global_env
         self.monitors = monitors
         self.fault_log = fault_log
-        self.counted = counted
+        self._program = program
+        self._metered: Optional[Code] = None
 
     @property
     def isolated(self) -> bool:
         """True when this program was compiled with fault-isolated hooks."""
         return self.fault_log is not None
+
+    def _metered_code(self) -> Code:
+        code = self._metered
+        if code is None:
+            # A benign race: two threads may both compile the variant;
+            # both results are equivalent and either may win.
+            compiler = _Compiler(
+                self.global_env, self.monitors, self.fault_log, metered=True
+            )
+            code = compiler.compile(self._program, None)
+            self._metered = code
+        return code
 
     def run(
         self,
@@ -867,6 +923,7 @@ class CompiledProgram:
         max_steps: Optional[int] = None,
         fault_log=None,
         deadline: Optional[float] = None,
+        telemetry=None,
     ) -> Tuple[object, object]:
         """Execute, returning ``(answer, monitor_state)``.
 
@@ -874,6 +931,9 @@ class CompiledProgram:
         programs only); omitting it reuses the compile-time default log,
         reset first — the historical sequential behavior.  ``deadline``
         is a ``perf_counter`` timestamp enforced by the trampoline.
+        ``telemetry`` (a :class:`~repro.observability.instrument
+        .Telemetry`) runs the metered variant, charging this run's
+        counters.
         """
         log = fault_log if fault_log is not None else self.fault_log
         if log is not None and fault_log is None:
@@ -883,17 +943,22 @@ class CompiledProgram:
 
             initial_ms = MonitorStateVector.initial(self.monitors)
         phi = answers.phi
+        code = self.code if telemetry is None else self._metered_code()
 
         def final_kont(value, ms) -> Step:
             return Done((phi(value), ms))
 
-        previous = getattr(_RUN_STATE, "fault_log", None)
+        previous = (
+            getattr(_RUN_STATE, "fault_log", None),
+            getattr(_RUN_STATE, "telemetry", None),
+        )
         _RUN_STATE.fault_log = log
+        _RUN_STATE.telemetry = telemetry
         try:
-            step = self.code([None], final_kont, initial_ms)
+            step = code([None], final_kont, initial_ms)
             return trampoline(step, max_steps=max_steps, deadline=deadline)
         finally:
-            _RUN_STATE.fault_log = previous
+            _RUN_STATE.fault_log, _RUN_STATE.telemetry = previous
 
 
 def compile_program(
@@ -903,7 +968,6 @@ def compile_program(
     env: Optional[Environment] = None,
     fault_log=None,
     fault_policy: Optional[str] = None,
-    telemetry=None,
     config=None,
 ) -> CompiledProgram:
     """Stage ``program`` (and ``monitors``) into a :class:`CompiledProgram`.
@@ -918,31 +982,33 @@ def compile_program(
     name (``"quarantine"``/``"log"``); omitting both compiles the
     historical ``propagate`` behavior with zero added overhead.
 
-    ``telemetry`` (from :mod:`repro.observability`) compiles the program
-    in counted mode — step counters at reference-interpreter granularity
-    burned into every node — at the cost of the collapse optimizations.
-    ``run_monitored(..., engine="compiled", metrics=...)`` is the
-    friendly entry point; pass it here only when driving the compiler
-    directly.
+    Telemetry is a run option, not a compile option: pass a
+    :class:`~repro.observability.instrument.Telemetry` to
+    :meth:`CompiledProgram.run`, or use ``run_monitored(...,
+    engine="compiled", config=RunConfig(metrics=...))``.
 
     ``config`` (a :class:`repro.runtime.config.RunConfig`) is the unified
-    alternative: its ``fault_policy`` selects isolation and its
-    ``metrics``/``event_sink`` build the telemetry.  Combining ``config``
-    with ``fault_log``/``fault_policy``/``telemetry`` raises ``TypeError``
-    — the config is meant to *replace* the loose knobs.
+    alternative: its ``fault_policy`` selects isolation and its ``lint``
+    gates compilation.  Combining ``config`` with
+    ``fault_log``/``fault_policy`` raises ``TypeError`` — the config is
+    meant to *replace* the loose knobs — and so does a config asking for
+    telemetry, which a compilation cannot carry.
     """
     if config is not None:
-        if fault_log is not None or fault_policy is not None or telemetry is not None:
+        if fault_log is not None or fault_policy is not None:
             raise TypeError(
                 "compile_program: pass either config= or the legacy "
-                "fault_log=/fault_policy=/telemetry= knobs, not both"
+                "fault_log=/fault_policy= knobs, not both"
             )
-        from repro.observability.instrument import Telemetry
         from repro.runtime.config import RunConfig
 
         RunConfig.resolve(config)  # validates
+        if config.wants_telemetry():
+            raise TypeError(
+                "compile_program: metrics/event_sink are per-run options; "
+                "pass telemetry= to CompiledProgram.run or use run_monitored"
+            )
         fault_policy = config.fault_policy
-        telemetry = Telemetry.create(config.metrics, config.event_sink)
         if config.lint != "off":
             import sys
 
@@ -959,11 +1025,8 @@ def compile_program(
         fault_log = FaultLog(fault_policy)
     global_env = initial_environment() if env is None else env
     monitor_tuple = tuple(monitors)
-    compiler = _Compiler(global_env, monitor_tuple, fault_log, telemetry)
-    code = compiler.compile(program, None)
-    return CompiledProgram(
-        code, global_env, monitor_tuple, fault_log, counted=telemetry is not None
-    )
+    code = _Compiler(global_env, monitor_tuple, fault_log).compile(program, None)
+    return CompiledProgram(code, global_env, monitor_tuple, fault_log, program)
 
 
 def evaluate_compiled(

@@ -164,8 +164,9 @@ def evaluate(
 
     ``tools`` may be a toolchain built with ``&``, a monitor stack, a
     single spec, a list mixing specs and tool names, or a string such as
-    ``"profile & trace & strict"``.  ``program`` may be surface syntax or
-    an already-parsed expression.  ``engine`` selects the execution engine
+    ``"profile & trace & strict"``.  ``program`` may be surface syntax (in
+    the run language's own grammar) or an already-parsed program.
+    ``engine`` selects the execution engine
     (``"reference"``, ``"compiled"`` or ``"codegen"``) for both the plain
     and the monitored run.  ``fault_policy`` selects how monitor failures are
     handled (see :func:`repro.monitoring.derive.run_monitored`).
@@ -204,7 +205,14 @@ def evaluate(
     )
     monitors, chain_language = _resolve_tools(tools)
     run_language = language or chain_language or strict
-    expr = parse(program) if isinstance(program, str) else program
+    if isinstance(program, str):
+        # Surface syntax is the run language's own (L_imp commands for
+        # the imperative language, L_exc for exceptions); languages
+        # without a parser of their own speak L_lambda.
+        own_parser = getattr(run_language, "parse", None)
+        expr = own_parser(program) if own_parser is not None else parse(program)
+    else:
+        expr = program
 
     if not monitors and not cfg.wants_telemetry() and cfg.mode == "inline":
         # This fast path bypasses run_monitored, so the lint gate runs here.

@@ -303,6 +303,58 @@ def test_metrics_parity_under_injected_faults(fault_policy, program):
         assert ref_metrics == fast_metrics, engine
 
 
+#: (fault policy, optimize) settings the step-stream property runs under;
+#: ``optimize`` applies to the codegen engine only.
+STREAM_SETTINGS = [
+    ("propagate", "none"),
+    ("propagate", "flow"),
+    ("quarantine", "none"),
+    ("quarantine", "flow"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("fault_policy,optimize", STREAM_SETTINGS)
+@given(closed_program())
+def test_step_event_stream_parity(fault_policy, optimize, program):
+    """A ``wants_steps`` sink sees the identical event stream on all three
+    engines: the fast engines charge static block weights at block heads,
+    and every block ends at a call or monitor hook, so their ``step``
+    events interleave with the hook (and fault) events exactly as the
+    reference interpreter's per-node steps do."""
+    from repro.observability import InMemorySink, RunMetrics
+    from repro.runtime import RunConfig
+
+    from tests.fault_injection import flaky_counter
+
+    def stack():
+        if fault_policy == "quarantine":
+            return [flaky_counter(2), TracerMonitor()]
+        return [LabelCounterMonitor(), TracerMonitor()]
+
+    streams = {}
+    for engine in ENGINES:
+        sink = InMemorySink(wants_steps=True)
+        metrics = RunMetrics()
+        run_monitored(
+            strict,
+            program,
+            stack(),
+            config=RunConfig(
+                engine=engine,
+                fault_policy=fault_policy,
+                optimize=optimize if engine == "codegen" else "none",
+                metrics=metrics,
+                event_sink=sink,
+                max_steps=2_000_000,
+            ),
+        )
+        assert len(sink.of_type("step")) == metrics.steps, engine
+        streams[engine] = sink.events
+    for engine in FAST_ENGINES:
+        assert streams[engine] == streams["reference"], engine
+
+
 @settings(max_examples=60, deadline=None)
 @given(closed_program())
 def test_quarantined_fault_parity(program):

@@ -221,6 +221,34 @@ class TestBatchSurface:
         assert results[0].error_type == "StaticAnalysisError"
         assert results[1].ok and results[1].answer == 16
 
+    def test_jsonl_records_parse_in_their_own_language(self, tmp_path, capsys):
+        """Source strings are parsed with the record's language: an L_imp
+        command on ``language=imperative`` runs instead of failing the
+        L_lambda grammar at ``:=``."""
+        from repro.cli import main
+
+        records = tmp_path / "requests.jsonl"
+        records.write_text(
+            "\n".join(
+                json.dumps(record)
+                for record in (
+                    {
+                        "program": "x := 1; while x < 5 do x := x + 1",
+                        "language": "imperative",
+                        "tag": "imp",
+                    },
+                    {"program": PLAIN % 3, "tag": "lambda"},
+                )
+            )
+            + "\n"
+        )
+        assert main(["batch", str(records), "--workers", "2"]) == 0
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        by_tag = {record["tag"]: record for record in out}
+        assert by_tag["imp"]["ok"], by_tag["imp"]
+        assert by_tag["imp"]["answer"] == [{"x": 5}, []]
+        assert by_tag["lambda"]["ok"] and by_tag["lambda"]["answer"] == 9
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown batch request key"):
             RunRequest.from_dict({"program": "1", "engin": "compiled"})
@@ -357,3 +385,37 @@ class TestResultWireFormat:
         assert back.reports == result.reports
         assert back.metrics is None  # in-process-only fields do not cross
         assert back.monitored is None
+
+    def test_set_reports_render_identically_across_hash_seeds(self):
+        """A set-valued report's order follows string hashing, which
+        differs between processes; the wire format must not."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import json\n"
+            "from repro.runtime import RunResult\n"
+            "labels = frozenset(f'label{n}' for n in range(12))\n"
+            "result = RunResult(index=0, ok=True, answer={'a', 'b', 'c', 3, 1},\n"
+            "                   reports={'cover': {'hit': labels, 'nested': [set()]}})\n"
+            "print(json.dumps(result.to_dict()))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert outputs[0] == outputs[1]
+        record = json.loads(outputs[0])
+        assert record["answer"] == [1, 3, "a", "b", "c"]
+        assert record["reports"]["cover"]["hit"] == sorted(
+            f"label{n}" for n in range(12)
+        )
+        assert record["reports"]["cover"]["nested"] == [[]]

@@ -7,6 +7,7 @@ discrimination that makes it sound and the LRU bound that makes it safe
 to leave running.
 """
 
+import sys
 import threading
 
 import pytest
@@ -51,12 +52,6 @@ class TestCacheKey:
         }
         assert len(keys) == 3
 
-    def test_key_distinguishes_counted_mode(self):
-        program = parse(FAC)
-        assert cache_key(strict, program, [], counted=True) != cache_key(
-            strict, program, [], counted=False
-        )
-
 
 class TestGetOrCompile:
     def test_warm_hit_returns_same_object(self):
@@ -69,10 +64,10 @@ class TestGetOrCompile:
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.hit_rate == 0.5
 
-    def test_counted_mode_rejected(self):
+    def test_unknown_engine_rejected(self):
         cache = CompilationCache(4)
-        with pytest.raises(ValueError, match="counted"):
-            cache.get_or_compile(strict, parse("1 + 1"), [], counted=True)
+        with pytest.raises(ValueError, match="no compiler for engine"):
+            cache.get_or_compile(strict, parse("1 + 1"), [], engine="reference")
 
     def test_lru_eviction_bounds_size(self):
         cache = CompilationCache(2)
@@ -191,22 +186,80 @@ class TestCachedRunParity:
         )
         assert len(oracle.faults) >= 1  # the flake actually fired
 
-    def test_telemetry_runs_bypass_the_cache(self):
+    @pytest.mark.parametrize("engine", ["compiled", "codegen"])
+    def test_metrics_on_run_is_a_warm_hit(self, engine):
+        """Telemetry is a run option: a metrics-on request reuses the
+        metrics-off entry (no second compile) and still counts exactly
+        what the reference interpreter counts."""
         from repro.observability import RunMetrics
 
         program = parse(FAC)
         cache = CompilationCache(4)
-        cfg = RunConfig(engine="compiled")
-        run_monitored(strict, program, ProfilerMonitor(), config=cfg, cache=cache)
-        counted = run_monitored(
-            strict,
-            program,
-            ProfilerMonitor(),
-            engine="compiled",
-            metrics=RunMetrics(),
-            cache=cache,
+        run_monitored(
+            strict, program, ProfilerMonitor(),
+            config=RunConfig(engine=engine), cache=cache,
         )
-        # The counted run neither hit nor polluted the cache...
-        assert cache.stats().lookups == 1
-        # ...and still produced real counters.
-        assert counted.metrics is not None and counted.metrics.steps > 0
+        metrics = RunMetrics()
+        warm = run_monitored(
+            strict, program, ProfilerMonitor(),
+            config=RunConfig(engine=engine, metrics=metrics), cache=cache,
+        )
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
+        oracle = RunMetrics()
+        run_monitored(
+            strict, program, ProfilerMonitor(), config=RunConfig(metrics=oracle)
+        )
+        assert warm.metrics is metrics
+        assert metrics == oracle and metrics.steps > 0
+
+    @pytest.mark.parametrize("engine", ["compiled", "codegen"])
+    def test_concurrent_metered_runs_count_per_run(self, engine):
+        """Eight threads drive one cached artifact, each run with its own
+        RunMetrics: every run gets exactly its own counters, never a sum
+        across threads — the counter record belongs to the run."""
+        from repro.observability import RunMetrics
+
+        program = parse(
+            "letrec loop = lambda n. {tick}: if n = 0 then 0 "
+            "else 1 + loop (n - 1) in loop 300"
+        )
+        oracle = RunMetrics()
+        run_monitored(
+            strict, program, ProfilerMonitor(), config=RunConfig(metrics=oracle)
+        )
+        cache = CompilationCache(4)
+        threads_n = 8
+        barrier = threading.Barrier(threads_n)
+        collected, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait()
+                for _ in range(10):
+                    metrics = RunMetrics()
+                    result = run_monitored(
+                        strict, program, ProfilerMonitor(),
+                        config=RunConfig(engine=engine, metrics=metrics),
+                        cache=cache,
+                    )
+                    collected.append((result.answer, metrics))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the runs as finely as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(collected) == threads_n * 10
+        assert all(answer == 300 for answer, _ in collected)
+        assert all(metrics == oracle for _, metrics in collected)
+        assert cache.stats().misses == 1 and len(cache) == 1

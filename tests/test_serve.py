@@ -197,3 +197,53 @@ class TestServeTelemetry:
             [record] = _roundtrip(daemon.address, [{"program": PLAIN % 2}], expect=1)
             assert record["ok"]
         assert not path.exists()  # close() unlinks
+
+
+class TestServeCommandLine:
+    """The ``repro serve`` command itself, spoken to over its socket."""
+
+    @pytest.mark.parametrize(
+        "optimize, flow_expected", [("flow", True), ("none", False)]
+    )
+    def test_optimize_flag_reaches_the_workers(
+        self, tmp_path, optimize, flow_expected
+    ):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        path = tmp_path / f"cli-{optimize}.sock"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        daemon = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--socket", str(path), "--workers", "1",
+                "--engine", "codegen", "--optimize", optimize,
+            ],
+            env=env,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not path.exists():
+                assert daemon.poll() is None, daemon.stderr.read().decode()
+                assert time.monotonic() < deadline, "daemon never listened"
+                time.sleep(0.05)
+            [result] = _roundtrip(
+                str(path),
+                [{"id": "r", "program": FAC % 4, "tools": "profile"}],
+                expect=1,
+            )
+            [stats] = _roundtrip(str(path), [{"op": "stats"}], expect=1)
+            assert result["ok"] and result["answer"] == 24
+            flow = stats["pool"]["flow"]
+            # The flow path consults the worker cache's claim-flow memo.
+            assert (flow["misses"] > 0) is flow_expected, flow
+        finally:
+            daemon.send_signal(signal.SIGTERM)
+            daemon.wait(timeout=30)
+            daemon.stderr.close()
