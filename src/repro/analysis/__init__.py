@@ -22,28 +22,9 @@ triggering example.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence
+from typing import FrozenSet, Optional
 
-from repro.analysis.diagnostics import (
-    AnalysisReport,
-    Diagnostic,
-    LINT_LEVELS,
-    StaticAnalysisError,
-    check_lint_level,
-    render_json,
-    render_text,
-)
-from repro.analysis.flow import (
-    FlowAnalysis,
-    SiteFlow,
-    analyze_flow,
-    flow_diagnostics,
-)
-from repro.analysis.scope import analyze_scope, free_vars
-from repro.analysis.specs import analyze_spec, probe_monitor
-from repro.analysis.stack import analyze_stack, claim_sets
-from repro.monitoring.compose import flatten_monitors
-from repro.syntax.ast import Expr
+from repro import _lazy_exports
 
 
 def _global_names(language) -> FrozenSet[str]:
@@ -78,6 +59,8 @@ def _resolve_monitors(monitors):
 
         resolved, _ = _resolve_tools(monitors)
         return list(resolved)
+    from repro.monitoring.compose import flatten_monitors
+
     return flatten_monitors(monitors)
 
 
@@ -90,7 +73,7 @@ def analyze(
     include_specs: bool = True,
     probe: bool = False,
     flow: bool = False,
-) -> AnalysisReport:
+) -> "AnalysisReport":
     """Run every static-analysis pass and return the combined report.
 
     ``program`` is an ``L_lambda`` expression (or source text, parsed
@@ -106,6 +89,12 @@ def analyze(
     :mod:`repro.analysis.flow`), also reachable via
     ``repro check --flow`` and ``RunConfig(optimize="flow")``.
     """
+    from repro.analysis.diagnostics import AnalysisReport, Diagnostic
+    from repro.analysis.scope import analyze_scope
+    from repro.analysis.specs import analyze_spec, probe_monitor
+    from repro.analysis.stack import analyze_stack
+    from repro.syntax.ast import Expr
+
     if isinstance(program, str):
         if source is None:
             source = program
@@ -125,6 +114,8 @@ def analyze(
         for monitor in monitor_list:
             diagnostics.extend(probe_monitor(monitor))
     if flow and hasattr(program, "walk"):
+        from repro.analysis.flow import analyze_flow, flow_diagnostics
+
         diagnostics.extend(flow_diagnostics(analyze_flow(program, monitor_list)))
     diagnostics.sort(key=Diagnostic.sort_key)
     return AnalysisReport(tuple(diagnostics), source)
@@ -150,3 +141,26 @@ __all__ = [
     "render_json",
     "render_text",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "AnalysisReport": "repro.analysis.diagnostics",
+        "Diagnostic": "repro.analysis.diagnostics",
+        "LINT_LEVELS": "repro.analysis.diagnostics",
+        "StaticAnalysisError": "repro.analysis.diagnostics",
+        "check_lint_level": "repro.analysis.diagnostics",
+        "render_json": "repro.analysis.diagnostics",
+        "render_text": "repro.analysis.diagnostics",
+        "FlowAnalysis": "repro.analysis.flow",
+        "SiteFlow": "repro.analysis.flow",
+        "analyze_flow": "repro.analysis.flow",
+        "flow_diagnostics": "repro.analysis.flow",
+        "analyze_scope": "repro.analysis.scope",
+        "free_vars": "repro.analysis.scope",
+        "analyze_spec": "repro.analysis.specs",
+        "probe_monitor": "repro.analysis.specs",
+        "analyze_stack": "repro.analysis.stack",
+        "claim_sets": "repro.analysis.stack",
+    },
+)

@@ -22,24 +22,13 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.errors import LexError, ParseError, ReproError, format_source_context
-from repro.languages import exceptions_language, imperative, lazy, lazy_data, strict
-from repro.languages.exceptions import parse_exc
-from repro.languages.imp_syntax import parse_imp
-from repro.monitoring.derive import run_monitored
-from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.online import specialize
-from repro.semantics.values import value_to_string
-from repro.syntax.parser import parse
-from repro.syntax.pretty import pretty
-from repro.toolbox.autoannotate import annotate_function_bodies
-from repro.toolbox.registry import make_tool
+from repro.languages.base import LANGUAGE_NAMES, language_named
 
-LANGUAGES = {
-    "strict": strict,
-    "lazy": lazy,
-    "lazy-data": lazy_data,
-    "imperative": imperative,
-    "exceptions": exceptions_language,
+#: The module behind each non-reference ``--engine``.  The flag loads it
+#: up front, with the rest of start-up, rather than inside the first run.
+_ENGINE_MODULES = {
+    "compiled": "repro.semantics.compiled",
+    "codegen": "repro.partial_eval.codegen",
 }
 
 
@@ -54,9 +43,15 @@ def _read_source(args) -> str:
 
 def _parse_source(source: str, language: str) -> object:
     if language == "imperative":
+        from repro.languages.imp_syntax import parse_imp
+
         return parse_imp(source)
     if language == "exceptions":
+        from repro.languages.exceptions import parse_exc
+
         return parse_exc(source)
+    from repro.syntax.parser import parse
+
     return parse(source)
 
 
@@ -72,12 +67,14 @@ def _load_program(args) -> object:
 
 
 def _language(args):
-    return LANGUAGES[args.language]
+    return language_named(args.language)
 
 
 def _tools(names: Optional[str]) -> List:
     if not names:
         return []
+    from repro.toolbox.registry import make_tool
+
     return [make_tool(name.strip()) for name in names.split(",") if name.strip()]
 
 
@@ -103,7 +100,7 @@ def run_config_from_args(args):
         # the trace goes, which is only meaningful in record mode.
         mode = "record"
     try:
-        return RunConfig(
+        config = RunConfig(
             engine=getattr(args, "engine", "reference"),
             fault_policy=getattr(args, "fault_policy", "propagate"),
             max_steps=getattr(args, "max_steps", None),
@@ -121,6 +118,9 @@ def run_config_from_args(args):
         # them the way every other CLI error is surfaced.
         _close_sink(sink)
         raise ReproError(str(exc)) from None
+    if config.engine in _ENGINE_MODULES:
+        __import__(_ENGINE_MODULES[config.engine])
+    return config
 
 
 def _checkpoint_interval(args) -> int:
@@ -153,6 +153,8 @@ def _print_metrics(metrics) -> None:
 
 
 def _render_answer(answer) -> str:
+    from repro.semantics.values import value_to_string
+
     if isinstance(answer, tuple) and len(answer) == 2 and isinstance(answer[0], dict):
         bindings, output = answer  # L_imp result
         rendered = ", ".join(
@@ -200,6 +202,8 @@ def cmd_run(args) -> int:
             )
             print(_render_answer(answer))
             return 0
+        from repro.monitoring.derive import run_monitored
+
         result = run_monitored(language, program, tools, config=config)
     finally:
         _close_sink(config.event_sink)
@@ -211,6 +215,10 @@ def cmd_run(args) -> int:
 
 
 def _annotated_run(args, tool_name: str, style: str) -> int:
+    from repro.monitoring.derive import run_monitored
+    from repro.toolbox.autoannotate import annotate_function_bodies
+    from repro.toolbox.registry import make_tool
+
     program = _load_program(args)
     language = _language(args)
     functions = (
@@ -242,6 +250,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_specialize(args) -> int:
+    from repro.languages.strict import strict
+    from repro.partial_eval.online import specialize
+    from repro.syntax.parser import parse
+    from repro.syntax.pretty import pretty
+
     program = _load_program(args)
     static = {}
     for item in args.static or []:
@@ -261,6 +274,8 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from repro.partial_eval.codegen import generate_program
+
     program = _load_program(args)
     generated = generate_program(program, _tools(args.tools))
     print(generated.source, end="")
@@ -275,6 +290,7 @@ def cmd_compile(args) -> int:
     source instead, to stdout or ``--output``.
     """
     from repro.languages.base import check_engine_support
+    from repro.partial_eval.codegen import generate_program
 
     language = _language(args)
     check_engine_support("codegen", language.name)
@@ -766,7 +782,7 @@ def _add_program_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-e", "--expression", help="program text inline")
     parser.add_argument(
         "--language",
-        choices=sorted(LANGUAGES),
+        choices=sorted(LANGUAGE_NAMES),
         default="strict",
         help="language module (default: strict)",
     )
@@ -861,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     session_parser.add_argument("--tools", help="toolbox monitors (profile & trace)")
     session_parser.add_argument("--functions", help="restrict auto-annotation")
     session_parser.add_argument(
-        "--language", choices=sorted(LANGUAGES), default="strict"
+        "--language", choices=sorted(LANGUAGE_NAMES), default="strict"
     )
     add_run_flags(session_parser)
     session_parser.set_defaults(handler=cmd_session)

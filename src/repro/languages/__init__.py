@@ -16,16 +16,12 @@ standard continuation semantics in the shape the monitoring derivation
 expects, so ``run_monitored(language, program, monitors)`` works uniformly.
 """
 
-from repro.languages.base import BaseLanguage
-from repro.languages.strict import StrictLanguage, strict
-from repro.languages.lazy import LazyLanguage, lazy, lazy_data
-from repro.languages.imperative import ImperativeLanguage, imperative
-from repro.languages.imp_syntax import parse_imp, pretty_imp
-from repro.languages.exceptions import (
-    ExceptionsLanguage,
-    exceptions_language,
-    parse_exc,
-)
+from repro import _lazy_exports
+# Eager: these three exports share their names with submodules, so
+# importing the submodule would shadow a lazy export (see _lazy_exports).
+from repro.languages.imperative import imperative
+from repro.languages.lazy import lazy
+from repro.languages.strict import strict
 
 __all__ = [
     "BaseLanguage",
@@ -42,3 +38,19 @@ __all__ = [
     "pretty_imp",
     "strict",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "BaseLanguage": "repro.languages.base",
+        "StrictLanguage": "repro.languages.strict",
+        "LazyLanguage": "repro.languages.lazy",
+        "lazy_data": "repro.languages.lazy",
+        "ImperativeLanguage": "repro.languages.imperative",
+        "parse_imp": "repro.languages.imp_syntax",
+        "pretty_imp": "repro.languages.imp_syntax",
+        "ExceptionsLanguage": "repro.languages.exceptions",
+        "exceptions_language": "repro.languages.exceptions",
+        "parse_exc": "repro.languages.exceptions",
+    },
+)

@@ -33,6 +33,27 @@ ENGINE_DESCRIPTIONS: dict = {
     "codegen": "specialized native Python source, fastest tier",
 }
 
+#: The language names the CLI, batch requests and toolchain strings
+#: accept, each mapped to the :mod:`repro.languages` export it selects.
+LANGUAGE_NAMES: dict = {
+    "strict": "strict",
+    "lazy": "lazy",
+    "lazy-data": "lazy_data",
+    "imperative": "imperative",
+    "exceptions": "exceptions_language",
+}
+
+
+def language_named(name: str):
+    """The language object a :data:`LANGUAGE_NAMES` name selects.
+
+    Raises ``KeyError`` for unknown names; only the selected language's
+    module is imported.
+    """
+    import repro.languages
+
+    return getattr(repro.languages, LANGUAGE_NAMES[name])
+
 
 def check_engine(engine: str) -> None:
     """Reject unknown engine names with an actionable error."""

@@ -12,25 +12,9 @@ The pipeline mirrors Figure 1 of the paper:
 5. :mod:`repro.monitoring.soundness` checks Theorem 7.7 executably.
 """
 
-from repro.monitoring.compose import MonitorStack, compose, nested_answer
-from repro.monitoring.derive import MonitoredResult, derive_functional, run_monitored
-from repro.monitoring.faults import (
-    FAULT_POLICIES,
-    FaultLog,
-    FlakyMonitor,
-    InjectedFault,
-    MonitorFault,
-    check_fault_policy,
-)
-from repro.monitoring.spec import MonitorSpec
-from repro.monitoring.state import MonitorStateVector
-from repro.monitoring.transformers import (
-    bounded,
-    filtered,
-    mapped_report,
-    renamed,
-    sampled,
-)
+from repro import _lazy_exports
+# Eager: ``compose`` is also a submodule name (see _lazy_exports).
+from repro.monitoring.compose import compose
 
 __all__ = [
     "FAULT_POLICIES",
@@ -53,3 +37,27 @@ __all__ = [
     "run_monitored",
     "sampled",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "MonitorStack": "repro.monitoring.compose",
+        "nested_answer": "repro.monitoring.compose",
+        "MonitoredResult": "repro.monitoring.derive",
+        "derive_functional": "repro.monitoring.derive",
+        "run_monitored": "repro.monitoring.derive",
+        "FAULT_POLICIES": "repro.monitoring.faults",
+        "FaultLog": "repro.monitoring.faults",
+        "FlakyMonitor": "repro.monitoring.faults",
+        "InjectedFault": "repro.monitoring.faults",
+        "MonitorFault": "repro.monitoring.faults",
+        "check_fault_policy": "repro.monitoring.faults",
+        "MonitorSpec": "repro.monitoring.spec",
+        "MonitorStateVector": "repro.monitoring.state",
+        "bounded": "repro.monitoring.transformers",
+        "filtered": "repro.monitoring.transformers",
+        "mapped_report": "repro.monitoring.transformers",
+        "renamed": "repro.monitoring.transformers",
+        "sampled": "repro.monitoring.transformers",
+    },
+)

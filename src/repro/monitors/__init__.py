@@ -24,19 +24,7 @@ plus the toolbox extras the Haskell environment ships (Section 9.2):
   invariant demons.
 """
 
-from repro.monitors.callgraph import CallGraphMonitor
-from repro.monitors.collecting import CollectingMonitor
-from repro.monitors.counters import LabelCounterMonitor, PairCounterMonitor
-from repro.monitors.coverage import CoverageMonitor
-from repro.monitors.debugger import DebuggerMonitor
-from repro.monitors.demon import PredicateDemon, UnsortedListDemon
-from repro.monitors.history import HistoryMonitor
-from repro.monitors.profiler import ProfilerMonitor
-from repro.monitors.statistics import StatisticsMonitor
-from repro.monitors.stepper import StepperMonitor
-from repro.monitors.tracer import TracerMonitor
-from repro.monitors.unwind import UnwindMonitor
-from repro.monitors.watcher import InvariantMonitor, WatchMonitor
+from repro import _lazy_exports
 
 __all__ = [
     "CallGraphMonitor",
@@ -56,3 +44,25 @@ __all__ = [
     "UnwindMonitor",
     "WatchMonitor",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "CallGraphMonitor": "repro.monitors.callgraph",
+        "CollectingMonitor": "repro.monitors.collecting",
+        "LabelCounterMonitor": "repro.monitors.counters",
+        "PairCounterMonitor": "repro.monitors.counters",
+        "CoverageMonitor": "repro.monitors.coverage",
+        "DebuggerMonitor": "repro.monitors.debugger",
+        "PredicateDemon": "repro.monitors.demon",
+        "UnsortedListDemon": "repro.monitors.demon",
+        "HistoryMonitor": "repro.monitors.history",
+        "ProfilerMonitor": "repro.monitors.profiler",
+        "StatisticsMonitor": "repro.monitors.statistics",
+        "StepperMonitor": "repro.monitors.stepper",
+        "TracerMonitor": "repro.monitors.tracer",
+        "UnwindMonitor": "repro.monitors.unwind",
+        "InvariantMonitor": "repro.monitors.watcher",
+        "WatchMonitor": "repro.monitors.watcher",
+    },
+)

@@ -21,30 +21,7 @@ engines run their historical uninstrumented fast paths — the <2% overhead
 gate in ``benchmarks/bench_engines.py`` holds the runtime to that.
 """
 
-from repro.observability.events import (
-    EVENT_TYPES,
-    Event,
-    ReplaySummary,
-    fault_tuples,
-    read_events,
-    replay,
-)
-from repro.observability.instrument import (
-    InstrumentedSpec,
-    Telemetry,
-    instrument_functional,
-    instrument_monitors,
-)
-from repro.observability.metrics import RunMetrics
-from repro.observability.sinks import (
-    CallbackSink,
-    EventSink,
-    InMemorySink,
-    JsonlSink,
-    NullSink,
-    TaggedSink,
-    is_null_sink,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "EVENT_TYPES",
@@ -66,3 +43,27 @@ __all__ = [
     "read_events",
     "replay",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "EVENT_TYPES": "repro.observability.events",
+        "Event": "repro.observability.events",
+        "ReplaySummary": "repro.observability.events",
+        "fault_tuples": "repro.observability.events",
+        "read_events": "repro.observability.events",
+        "replay": "repro.observability.events",
+        "InstrumentedSpec": "repro.observability.instrument",
+        "Telemetry": "repro.observability.instrument",
+        "instrument_functional": "repro.observability.instrument",
+        "instrument_monitors": "repro.observability.instrument",
+        "RunMetrics": "repro.observability.metrics",
+        "CallbackSink": "repro.observability.sinks",
+        "EventSink": "repro.observability.sinks",
+        "InMemorySink": "repro.observability.sinks",
+        "JsonlSink": "repro.observability.sinks",
+        "NullSink": "repro.observability.sinks",
+        "TaggedSink": "repro.observability.sinks",
+        "is_null_sink": "repro.observability.sinks",
+    },
+)

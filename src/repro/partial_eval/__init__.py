@@ -31,10 +31,7 @@ specialization:
    accompanying binding-time analysis.
 """
 
-from repro.partial_eval.compile import CompiledProgram, compile_program
-from repro.partial_eval.online import specialize
-from repro.partial_eval.bta import analyze_binding_times
-from repro.partial_eval.postprocess import simplify, specialize_and_simplify
+from repro import _lazy_exports
 
 __all__ = [
     "CompiledProgram",
@@ -44,3 +41,15 @@ __all__ = [
     "specialize",
     "specialize_and_simplify",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "CompiledProgram": "repro.partial_eval.compile",
+        "compile_program": "repro.partial_eval.compile",
+        "specialize": "repro.partial_eval.online",
+        "analyze_binding_times": "repro.partial_eval.bta",
+        "simplify": "repro.partial_eval.postprocess",
+        "specialize_and_simplify": "repro.partial_eval.postprocess",
+    },
+)

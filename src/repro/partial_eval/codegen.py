@@ -56,8 +56,6 @@ straight-line code pays nothing.
 from __future__ import annotations
 
 import itertools
-import sys
-import threading
 from contextlib import contextmanager
 from functools import partial
 from operator import mul
@@ -78,6 +76,7 @@ from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 from repro.semantics.primitives import PRIMITIVE_TABLE
+from repro.semantics.trampoline import raised_recursion_limit
 from repro.semantics.values import (
     NIL,
     PrimFun,
@@ -148,33 +147,6 @@ class _Site:
         self.monitor = monitor
         self.annotation = annotation
         self.term = term
-
-
-# The host recursion limit is process-global, so concurrent runs (the
-# batch runtime drives one compiled artifact from many threads) must not
-# save/restore it independently — a nesting counter raises it once and
-# restores it when the last run exits.
-_RECLIMIT_LOCK = threading.Lock()
-_RECLIMIT_DEPTH = 0
-_RECLIMIT_SAVED = 0
-
-
-def _acquire_recursion_limit(limit: int) -> None:
-    global _RECLIMIT_DEPTH, _RECLIMIT_SAVED
-    with _RECLIMIT_LOCK:
-        if _RECLIMIT_DEPTH == 0:
-            _RECLIMIT_SAVED = sys.getrecursionlimit()
-        _RECLIMIT_DEPTH += 1
-        if limit > sys.getrecursionlimit():
-            sys.setrecursionlimit(limit)
-
-
-def _release_recursion_limit() -> None:
-    global _RECLIMIT_DEPTH
-    with _RECLIMIT_LOCK:
-        _RECLIMIT_DEPTH -= 1
-        if _RECLIMIT_DEPTH == 0:
-            sys.setrecursionlimit(_RECLIMIT_SAVED)
 
 
 def _make_guard(max_steps: Optional[int], deadline: Optional[float]):
@@ -1043,9 +1015,9 @@ class GeneratedProgram:
         entry = self._resolve_entry(needs_guard, meter)
         if needs_guard:
             runtime.guard = _make_guard(max_steps, deadline)
-        _acquire_recursion_limit(recursion_limit)
         try:
-            value = entry(runtime)
+            with raised_recursion_limit(recursion_limit):
+                value = entry(runtime)
         except RecursionError:
             raise EvalError(
                 "residual program exceeded the host recursion depth "
@@ -1053,8 +1025,6 @@ class GeneratedProgram:
                 "the native Python stack; use engine='compiled' for "
                 "unbounded recursion depth"
             ) from None
-        finally:
-            _release_recursion_limit()
         states = MonitorStateVector(dict(runtime.states))
         return answers.phi(value), states
 

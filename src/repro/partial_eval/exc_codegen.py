@@ -16,7 +16,6 @@ monitored interpreter does — checked against it in the tests.
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Dict, List, Sequence
 
 from repro.errors import EvalError
@@ -32,6 +31,7 @@ from repro.partial_eval.codegen import (
     _mangle,
 )
 from repro.semantics.primitives import PRIMITIVE_TABLE
+from repro.semantics.trampoline import raised_recursion_limit
 from repro.syntax.ast import (
     Annotated,
     App,
@@ -231,14 +231,11 @@ class GeneratedExcProgram(GeneratedProgram):
 
         answers = answers or STANDARD_ANSWERS
         runtime = ExcResidualRuntime(self._sites, self.monitors)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, recursion_limit))
         try:
-            value = self._entry(runtime)
+            with raised_recursion_limit(recursion_limit):
+                value = self._entry(runtime)
         except _RaisedValue as exc:
             raise UncaughtException(exc.value) from None
-        finally:
-            sys.setrecursionlimit(old_limit)
         states = MonitorStateVector(dict(runtime.states))
         return answers.phi(value), states
 

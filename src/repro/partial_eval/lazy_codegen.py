@@ -23,7 +23,6 @@ just answers.
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Dict, List, Sequence
 
 from repro.errors import EvalError, NotAFunctionError
@@ -38,6 +37,7 @@ from repro.partial_eval.codegen import (
     _mangle,
 )
 from repro.semantics.primitives import PRIMITIVE_TABLE
+from repro.semantics.trampoline import raised_recursion_limit
 from repro.semantics.values import PrimFun, value_to_string
 from repro.syntax.ast import (
     Annotated,
@@ -234,12 +234,8 @@ class GeneratedLazyProgram(GeneratedProgram):
 
         answers = answers or STANDARD_ANSWERS
         runtime = LazyResidualRuntime(self._sites, self.monitors)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, recursion_limit))
-        try:
+        with raised_recursion_limit(recursion_limit):
             value = self._entry(runtime)
-        finally:
-            sys.setrecursionlimit(old_limit)
         states = MonitorStateVector(dict(runtime.states))
         return answers.phi(value), states
 

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import EvalError, PrimitiveError, SpecializationError
 from repro.semantics.primitives import PRIMITIVE_TABLE, make_primitive
+from repro.semantics.trampoline import raised_recursion_limit
 from repro.semantics.values import (
     NIL,
     Cons,
@@ -486,8 +487,6 @@ def specialize(
     >>> pretty(specialize(prog).residual)
     'x * (x * (x * 1))'
     """
-    import sys
-
     taken = set(bound_variables(program)) | set(free_variables(program))
     specializer = _Specializer(budget=budget, taken_names=taken)
     penv: PEnv = {}
@@ -497,16 +496,13 @@ def specialize(
     # Specialization recurses on the host stack (unlike the trampolined
     # interpreters), so raise the limit for the duration and convert a
     # blown stack into the same diagnosis as a blown budget.
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 60_000))
     try:
-        main = specializer.residualize(specializer.spec(program, penv))
+        with raised_recursion_limit(60_000):
+            main = specializer.residualize(specializer.spec(program, penv))
     except RecursionError:
         raise SpecializationError(
             "specialization recursion exceeded the host stack; the "
             "program's static computation may diverge or unfold too deeply"
         ) from None
-    finally:
-        sys.setrecursionlimit(old_limit)
     residual = specializer.assemble(main)
     return SpecializationResult(residual=residual, stats=specializer.stats)

@@ -19,9 +19,7 @@ monitor), so anything ``repro run --mode record`` produced — reference,
 compiled, or codegen; L_lambda, L_imp, or L_exc — replays here.
 """
 
-from repro.replay.checkpoints import Checkpoint, CheckpointIndex, sidecar_path
-from repro.replay.debugger import HISTORY_KEY, ReplayDebugger, default_stack
-from repro.replay.session import ReplaySession
+from repro import _lazy_exports
 
 __all__ = [
     "Checkpoint",
@@ -32,3 +30,16 @@ __all__ = [
     "default_stack",
     "sidecar_path",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "Checkpoint": "repro.replay.checkpoints",
+        "CheckpointIndex": "repro.replay.checkpoints",
+        "sidecar_path": "repro.replay.checkpoints",
+        "HISTORY_KEY": "repro.replay.debugger",
+        "ReplayDebugger": "repro.replay.debugger",
+        "default_stack": "repro.replay.debugger",
+        "ReplaySession": "repro.replay.session",
+    },
+)

@@ -22,33 +22,13 @@ single-run monitoring pipeline:
   JSONL-over-socket daemon (``repro serve``) in front of the process
   pool.
 
-Import order matters here: ``config`` has no dependency on the rest of
-the package and is imported first; ``batch`` reaches back into
-``monitoring``/``toolbox`` lazily (inside functions) so that those
-modules may in turn lazily import :class:`RunConfig` without a cycle.
+Every export resolves on first use, so ``from repro.runtime import
+RunConfig`` loads ``config`` alone, never the pool or the daemon;
+``batch`` reaches back into ``monitoring``/``toolbox`` inside functions
+so that those modules may import :class:`RunConfig` without a cycle.
 """
 
-from repro.runtime.config import RunConfig
-from repro.runtime.cache import CacheStats, CompilationCache, cache_key, program_fingerprint
-from repro.runtime.batch import (
-    DEFAULT_WORKERS,
-    BatchRunner,
-    RunRequest,
-    RunResult,
-    Runtime,
-    admission_failure,
-    check_timeout,
-    execute_request,
-    language_by_name,
-    run_batch,
-)
-from repro.runtime.process_pool import (
-    DEFAULT_QUEUE_DEPTH,
-    OverloadedError,
-    ProcessPoolRunner,
-    route_key,
-)
-from repro.runtime.serve import Server
+from repro import _lazy_exports
 
 __all__ = [
     "DEFAULT_QUEUE_DEPTH",
@@ -72,3 +52,29 @@ __all__ = [
     "route_key",
     "run_batch",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "RunConfig": "repro.runtime.config",
+        "CacheStats": "repro.runtime.cache",
+        "CompilationCache": "repro.runtime.cache",
+        "cache_key": "repro.runtime.cache",
+        "program_fingerprint": "repro.runtime.cache",
+        "DEFAULT_WORKERS": "repro.runtime.batch",
+        "BatchRunner": "repro.runtime.batch",
+        "RunRequest": "repro.runtime.batch",
+        "RunResult": "repro.runtime.batch",
+        "Runtime": "repro.runtime.batch",
+        "admission_failure": "repro.runtime.batch",
+        "check_timeout": "repro.runtime.batch",
+        "execute_request": "repro.runtime.batch",
+        "language_by_name": "repro.runtime.batch",
+        "run_batch": "repro.runtime.batch",
+        "DEFAULT_QUEUE_DEPTH": "repro.runtime.process_pool",
+        "OverloadedError": "repro.runtime.process_pool",
+        "ProcessPoolRunner": "repro.runtime.process_pool",
+        "route_key": "repro.runtime.process_pool",
+        "Server": "repro.runtime.serve",
+    },
+)

@@ -77,27 +77,14 @@ def language_by_name(name: Optional[str]):
         return None
     if not isinstance(name, str):
         return name  # already a language object
-    from repro.languages import (
-        exceptions_language,
-        imperative,
-        lazy,
-        lazy_data,
-        strict,
-    )
+    from repro.languages.base import LANGUAGE_NAMES, language_named
 
-    languages = {
-        "strict": strict,
-        "lazy": lazy,
-        "lazy-data": lazy_data,
-        "imperative": imperative,
-        "exceptions": exceptions_language,
-    }
     try:
-        return languages[name]
+        return language_named(name)
     except KeyError:
         from repro.errors import ReproError
 
-        known = ", ".join(sorted(languages))
+        known = ", ".join(sorted(LANGUAGE_NAMES))
         raise ReproError(f"unknown language {name!r}; choose one of {known}") from None
 
 

@@ -106,12 +106,16 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Check the enumerated fields; returns ``self`` for chaining."""
-        from repro.analysis.diagnostics import check_lint_level
         from repro.languages.base import check_engine
 
         check_engine(self.engine)
         check_fault_policy(self.fault_policy)
-        check_lint_level(self.lint)
+        if self.lint != "off":
+            # The analyzer owns the lint levels; a lint-off run never
+            # loads it.
+            from repro.analysis.diagnostics import check_lint_level
+
+            check_lint_level(self.lint)
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
         if self.mode not in ("inline", "record"):

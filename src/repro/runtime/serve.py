@@ -179,6 +179,13 @@ class Server:
             self._closing = True
             connections = list(self._connections)
         if self._listener is not None:
+            # Closing a listening socket does not wake a thread blocked in
+            # accept() on Linux; shutting it down first does (accept fails
+            # with EINVAL), so the accept thread exits at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -19,10 +19,7 @@
   used to cross-check the trampolined machine.
 """
 
-from repro.semantics.compiled import compile_program as compile_to_closures
-from repro.semantics.compiled import evaluate_compiled
-from repro.semantics.machine import fix, run_machine
-from repro.semantics.standard import evaluate, standard_functional
+from repro import _lazy_exports
 
 __all__ = [
     "fix",
@@ -32,3 +29,15 @@ __all__ = [
     "compile_to_closures",
     "evaluate_compiled",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "compile_to_closures": "repro.semantics.compiled:compile_program",
+        "evaluate_compiled": "repro.semantics.compiled",
+        "fix": "repro.semantics.machine",
+        "run_machine": "repro.semantics.machine",
+        "evaluate": "repro.semantics.standard",
+        "standard_functional": "repro.semantics.standard",
+    },
+)

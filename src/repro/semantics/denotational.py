@@ -22,14 +22,13 @@ raises the recursion limit temporarily to accommodate CPS call chains.
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from typing import Callable, Optional, Tuple
 
 from repro.errors import EvalError, NotAFunctionError
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS, theta
 from repro.semantics.env import Environment
 from repro.semantics.primitives import initial_environment
+from repro.semantics.trampoline import raised_recursion_limit
 from repro.semantics.values import PrimFun, value_to_string
 from repro.syntax.ast import (
     Annotated,
@@ -206,16 +205,6 @@ def _fix(functional):
     return valuation
 
 
-@contextmanager
-def _recursion_limit(limit: int):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def run_denotational(
     program: Expr,
     monitor=None,
@@ -253,6 +242,6 @@ def run_denotational(
     def kappa_init(v) -> AnsBar:
         return theta(answers.phi(v))
 
-    with _recursion_limit(recursion_limit):
+    with raised_recursion_limit(recursion_limit):
         answer, final_state = valuation(program, env, kappa_init)(initial_state)
     return answer, final_state

@@ -26,14 +26,13 @@ host stack and targets modest programs.
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import EvalError, NotAFunctionError
 from repro.semantics.env import Environment
 from repro.semantics.primitives import initial_environment
+from repro.semantics.trampoline import raised_recursion_limit
 from repro.semantics.values import PrimFun, value_to_string
 from repro.syntax.ast import (
     Annotated,
@@ -228,16 +227,6 @@ def monitoring_hook(monitor):
     return hook
 
 
-@contextmanager
-def _recursion_limit(limit: int):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def run_identity(
     program: Expr,
     *,
@@ -248,7 +237,7 @@ def run_identity(
     if env is None:
         env = initial_environment()
     evaluate = make_interpreter(IDENTITY)
-    with _recursion_limit(recursion_limit):
+    with raised_recursion_limit(recursion_limit):
         return evaluate(program, env)
 
 
@@ -271,5 +260,5 @@ def run_state(
     hook = monitoring_hook(monitor) if monitor is not None else None
     evaluate = make_interpreter(STATE, annotation_hook=hook)
     initial = monitor.initial_state() if monitor is not None else None
-    with _recursion_limit(recursion_limit):
+    with raised_recursion_limit(recursion_limit):
         return evaluate(program, env)(initial)

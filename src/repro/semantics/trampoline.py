@@ -23,10 +23,17 @@ Three bounce shapes exist:
 checked in batches of :data:`STEP_BATCH`: the inner loop runs an exact
 per-chunk budget, so limit semantics stay precise while the unlimited case
 pays only one extra integer compare per step.
+
+The evaluators that *do* recurse on the host stack (codegen's residual
+programs, the monadic and denotational references, the online
+specializer) raise the recursion limit through
+:class:`raised_recursion_limit`, the one place that changes it.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from time import perf_counter
 from typing import Callable, Optional, Tuple
 
@@ -161,3 +168,47 @@ def trampoline(
             raise StepLimitExceeded(max_steps, consumed=consumed)
         if deadline is not None and perf_counter() >= deadline:
             raise EvaluationTimeout()
+
+
+# The host recursion limit is process-global, so concurrent runs (the
+# batch runtime drives one compiled artifact from many threads) must not
+# save/restore it independently — a nesting counter raises it once and
+# restores it when the last holder exits.
+_RECLIMIT_LOCK = threading.Lock()
+_RECLIMIT_DEPTH = 0
+_RECLIMIT_SAVED = 0
+
+
+class raised_recursion_limit:
+    """Hold the host recursion limit at ``limit`` or above for a ``with`` block.
+
+    For the evaluators that recurse on the native Python stack (the
+    codegen engine's residual programs, the monadic and denotational
+    reference semantics, the online specializer).  Holders on different
+    threads share one count: the first entry saves the limit, each entry
+    raises it to at least its own ``limit``, and only the last exit
+    restores the saved value — a short run finishing on one thread never
+    lowers the limit under a deep run still going on another.
+    """
+
+    __slots__ = ("limit",)
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+
+    def __enter__(self) -> "raised_recursion_limit":
+        global _RECLIMIT_DEPTH, _RECLIMIT_SAVED
+        with _RECLIMIT_LOCK:
+            if _RECLIMIT_DEPTH == 0:
+                _RECLIMIT_SAVED = sys.getrecursionlimit()
+            _RECLIMIT_DEPTH += 1
+            if self.limit > sys.getrecursionlimit():
+                sys.setrecursionlimit(self.limit)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        global _RECLIMIT_DEPTH
+        with _RECLIMIT_LOCK:
+            _RECLIMIT_DEPTH -= 1
+            if _RECLIMIT_DEPTH == 0:
+                sys.setrecursionlimit(_RECLIMIT_SAVED)

@@ -15,18 +15,8 @@ Public entry points:
   variables, alpha renaming.
 """
 
-from repro.syntax.ast import (
-    Annotated,
-    App,
-    Const,
-    Expr,
-    If,
-    Lam,
-    Let,
-    Letrec,
-    Var,
-)
-from repro.syntax.parser import parse
+from repro import _lazy_exports
+# Eager: ``pretty`` is also a submodule name (see _lazy_exports).
 from repro.syntax.pretty import pretty
 
 __all__ = [
@@ -42,3 +32,19 @@ __all__ = [
     "parse",
     "pretty",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "Annotated": "repro.syntax.ast",
+        "App": "repro.syntax.ast",
+        "Const": "repro.syntax.ast",
+        "Expr": "repro.syntax.ast",
+        "If": "repro.syntax.ast",
+        "Lam": "repro.syntax.ast",
+        "Let": "repro.syntax.ast",
+        "Letrec": "repro.syntax.ast",
+        "Var": "repro.syntax.ast",
+        "parse": "repro.syntax.parser",
+    },
+)

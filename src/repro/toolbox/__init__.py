@@ -22,10 +22,7 @@ This package reproduces that surface:
   with tools requested by name.
 """
 
-from repro.toolbox.autoannotate import annotate_function_bodies
-from repro.toolbox.compose_op import Toolchain
-from repro.toolbox.registry import TOOLBOX, evaluate, make_tool
-from repro.toolbox.session import Session
+from repro import _lazy_exports
 
 __all__ = [
     "Session",
@@ -35,3 +32,15 @@ __all__ = [
     "evaluate",
     "make_tool",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "annotate_function_bodies": "repro.toolbox.autoannotate",
+        "Toolchain": "repro.toolbox.compose_op",
+        "TOOLBOX": "repro.toolbox.registry",
+        "evaluate": "repro.toolbox.registry",
+        "make_tool": "repro.toolbox.registry",
+        "Session": "repro.toolbox.session",
+    },
+)

@@ -12,51 +12,52 @@ ready-made :class:`~repro.monitoring.spec.MonitorSpec` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import MonitorError
-from repro.languages.base import BaseLanguage
+from repro.languages.base import LANGUAGE_NAMES, BaseLanguage, language_named
 from repro.languages.strict import strict
 from repro.monitoring.compose import MonitorStack, flatten_monitors
 from repro.monitoring.derive import MonitoredResult, run_monitored
 from repro.monitoring.spec import MonitorSpec
 from repro.observability.metrics import RunMetrics
 from repro.runtime.config import UNSET
-from repro.monitors import (
-    CallGraphMonitor,
-    CollectingMonitor,
-    CoverageMonitor,
-    HistoryMonitor,
-    LabelCounterMonitor,
-    ProfilerMonitor,
-    StepperMonitor,
-    TracerMonitor,
-    UnsortedListDemon,
-)
 from repro.syntax.ast import Expr
 from repro.syntax.parser import parse
 from repro.toolbox.compose_op import Toolchain
 
+
+def _tool(module: str, cls: str) -> Callable[..., MonitorSpec]:
+    """A factory for the monitor class ``cls`` of ``module``.
+
+    The module is imported the first time the tool is made, so asking
+    for ``profile`` loads the profiler alone, not the whole toolbox;
+    later calls reuse the class without an import.
+    """
+    resolved: List[Callable[..., MonitorSpec]] = []
+
+    def factory(namespace=None):
+        if not resolved:
+            resolved.append(getattr(__import__(module, fromlist=[cls]), cls))
+        return resolved[0](namespace=namespace)
+
+    return factory
+
+
 #: Factories for the predefined tools.  Each takes a ``namespace`` so that
 #: several tools can be composed safely.
 TOOLBOX: Dict[str, Callable[..., MonitorSpec]] = {
-    "profile": lambda namespace=None: ProfilerMonitor(namespace=namespace),
-    "trace": lambda namespace=None: TracerMonitor(namespace=namespace),
-    "collect": lambda namespace=None: CollectingMonitor(namespace=namespace),
-    "demon": lambda namespace=None: UnsortedListDemon(namespace=namespace),
-    "step": lambda namespace=None: StepperMonitor(namespace=namespace),
-    "coverage": lambda namespace=None: CoverageMonitor(namespace=namespace),
-    "count": lambda namespace=None: LabelCounterMonitor(namespace=namespace),
-    "callgraph": lambda namespace=None: CallGraphMonitor(namespace=namespace),
-    "history": lambda namespace=None: HistoryMonitor(namespace=namespace),
-    "stats": lambda namespace=None: _statistics(namespace),
+    "profile": _tool("repro.monitors.profiler", "ProfilerMonitor"),
+    "trace": _tool("repro.monitors.tracer", "TracerMonitor"),
+    "collect": _tool("repro.monitors.collecting", "CollectingMonitor"),
+    "demon": _tool("repro.monitors.demon", "UnsortedListDemon"),
+    "step": _tool("repro.monitors.stepper", "StepperMonitor"),
+    "coverage": _tool("repro.monitors.coverage", "CoverageMonitor"),
+    "count": _tool("repro.monitors.counters", "LabelCounterMonitor"),
+    "callgraph": _tool("repro.monitors.callgraph", "CallGraphMonitor"),
+    "history": _tool("repro.monitors.history", "HistoryMonitor"),
+    "stats": _tool("repro.monitors.statistics", "StatisticsMonitor"),
 }
-
-
-def _statistics(namespace):
-    from repro.monitors.statistics import StatisticsMonitor
-
-    return StatisticsMonitor(namespace=namespace)
 
 
 def make_tool(name: str, *, namespace: Optional[str] = None) -> MonitorSpec:
@@ -81,24 +82,9 @@ def _resolve_tools(tools: ToolsLike) -> Tuple[Tuple[MonitorSpec, ...], Optional[
         names = [part.strip() for part in tools.split("&") if part.strip()]
         language: Optional[BaseLanguage] = None
         monitors = []
-        from repro.languages import (
-            exceptions_language,
-            imperative,
-            lazy,
-            lazy_data,
-            strict as strict_lang,
-        )
-
-        languages = {
-            "strict": strict_lang,
-            "lazy": lazy,
-            "lazy-data": lazy_data,
-            "imperative": imperative,
-            "exceptions": exceptions_language,
-        }
         for name in names:
-            if name in languages:
-                language = languages[name]
+            if name in LANGUAGE_NAMES:
+                language = language_named(name)
             else:
                 monitors.append(make_tool(name))
         return tuple(monitors), language

@@ -10,32 +10,9 @@ produced.  ``RunConfig(mode="record")`` wires the same pipeline through
 CLI verbs are ``repro record`` and ``repro analyze``.
 """
 
-from repro.tracing.analyze import (
-    ReplayContext,
-    TraceAnalysis,
-    analyze_many,
-    analyze_trace,
-    parse_program,
-)
-from repro.tracing.record import (
-    RecordResult,
-    RecorderSpec,
-    TraceWriter,
-    record,
-    record_run,
-)
-from repro.tracing.schema import (
-    TRACE_VERSION,
-    OpaqueValue,
-    Trace,
-    TraceError,
-    TraceEvent,
-    TraceFormatError,
-    TraceVersionError,
-    build_site_table,
-    read_trace,
-    sample_includes,
-)
+from repro import _lazy_exports
+# Eager: ``record`` is also a submodule name (see _lazy_exports).
+from repro.tracing.record import record
 
 __all__ = [
     "OpaqueValue",
@@ -59,3 +36,28 @@ __all__ = [
     "record_run",
     "sample_includes",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "ReplayContext": "repro.tracing.analyze",
+        "TraceAnalysis": "repro.tracing.analyze",
+        "analyze_many": "repro.tracing.analyze",
+        "analyze_trace": "repro.tracing.analyze",
+        "parse_program": "repro.tracing.analyze",
+        "RecordResult": "repro.tracing.record",
+        "RecorderSpec": "repro.tracing.record",
+        "TraceWriter": "repro.tracing.record",
+        "record_run": "repro.tracing.record",
+        "TRACE_VERSION": "repro.tracing.schema",
+        "OpaqueValue": "repro.tracing.schema",
+        "Trace": "repro.tracing.schema",
+        "TraceError": "repro.tracing.schema",
+        "TraceEvent": "repro.tracing.schema",
+        "TraceFormatError": "repro.tracing.schema",
+        "TraceVersionError": "repro.tracing.schema",
+        "build_site_table": "repro.tracing.schema",
+        "read_trace": "repro.tracing.schema",
+        "sample_includes": "repro.tracing.schema",
+    },
+)

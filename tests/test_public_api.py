@@ -73,12 +73,20 @@ def test_top_level_all_resolvable():
         "repro.observability",
         "repro.runtime",
         "repro.syntax",
+        "repro",
+        "repro.analysis",
+        "repro.partial_eval",
+        "repro.replay",
+        "repro.semantics",
+        "repro.toolbox",
+        "repro.tracing",
     ],
 )
 def test_package_all_resolvable(module_name):
     module = importlib.import_module(module_name)
     for name in module.__all__:
         assert hasattr(module, name), f"{module_name}.__all__ lists {name!r}"
+    assert set(dir(module)) >= set(module.__all__)
 
 
 def test_runtime_exports_at_top_level():

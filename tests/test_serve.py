@@ -247,3 +247,51 @@ class TestServeCommandLine:
             daemon.send_signal(signal.SIGTERM)
             daemon.wait(timeout=30)
             daemon.stderr.close()
+
+    def test_sigterm_exits_promptly_and_reaps_workers(self, tmp_path):
+        """SIGTERM stops the daemon within 1.5 s, exit code 0, no orphans.
+
+        The accept thread is blocked in ``accept()`` when the signal
+        lands; closing the listener must wake it rather than leave
+        ``close()`` waiting out its join timeout.
+        """
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        path = tmp_path / "sigterm.sock"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", str(path), "--workers", "1"],
+            env=env,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        pgid = daemon.pid
+        try:
+            deadline = time.monotonic() + 30
+            while not path.exists():
+                assert daemon.poll() is None, daemon.stderr.read().decode()
+                assert time.monotonic() < deadline, "daemon never listened"
+                time.sleep(0.05)
+            [pong] = _roundtrip(str(path), [{"op": "ping"}], expect=1)
+            assert pong
+            began = time.monotonic()
+            daemon.send_signal(signal.SIGTERM)
+            code = daemon.wait(timeout=30)
+            elapsed = time.monotonic() - began
+            assert code == 0
+            assert elapsed < 1.5, f"SIGTERM to exit took {elapsed:.2f} s"
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            daemon.wait(timeout=30)
+            daemon.stderr.close()

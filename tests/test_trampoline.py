@@ -1,16 +1,27 @@
-"""Tests for the trampoline driver."""
+"""Tests for the trampoline driver and the shared recursion-limit holder."""
+
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from repro.errors import StepLimitExceeded
+from repro.monitoring.spec import MonitorSpec
+from repro.partial_eval.codegen import generate_program
+from repro.semantics.monadic import run_state
 from repro.semantics.trampoline import (
     STEP_BATCH,
     Bounce,
     Done,
     KTail,
     Tail,
+    raised_recursion_limit,
     trampoline,
 )
+from repro.syntax.annotations import Label
+from repro.syntax.parser import parse
 
 
 def countdown(n):
@@ -121,3 +132,95 @@ class TestBatchedStepLimit:
         exc = StepLimitExceeded(50)
         assert exc.limit == 50
         assert exc.consumed == 50
+
+
+class Rendezvous(MonitorSpec):
+    """Calls ``on_pre`` at every labelled site: a hook the test can park in."""
+
+    key = "rendezvous"
+
+    def __init__(self, on_pre):
+        self.on_pre = on_pre
+
+    def recognize(self, annotation):
+        return annotation if isinstance(annotation, Label) else None
+
+    def initial_state(self):
+        return 0
+
+    def pre(self, annotation, term, ctx, state):
+        self.on_pre()
+        return state + 1
+
+
+class TestRaisedRecursionLimit:
+    def test_nested_holders_restore_once(self):
+        before = sys.getrecursionlimit()
+        with raised_recursion_limit(before + 5000):
+            with raised_recursion_limit(before + 100):
+                assert sys.getrecursionlimit() == before + 5000
+            assert sys.getrecursionlimit() == before + 5000
+        assert sys.getrecursionlimit() == before
+
+    def test_monadic_run_never_lowers_a_deep_codegen_run(self):
+        """Thread A sits deep in a codegen run holding a raised limit;
+        thread B enters and leaves a monadic run meanwhile.  B's exit
+        must not restore the limit it saw on entry under A.
+
+        Runs in a child interpreter: with the race present, the lowered
+        limit kills the process with a fatal stack overflow.
+        """
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", "import tests.test_trampoline as t; t.limit_race()"],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "ok"
+
+
+def limit_race():
+    before = sys.getrecursionlimit()
+    b_inside, a_inside, b_done = (threading.Event() for _ in range(3))
+    seen = []
+    errors = []
+
+    def park_b():
+        b_inside.set()
+        assert a_inside.wait(10)
+
+    def park_a():
+        a_inside.set()
+        assert b_done.wait(10)
+        seen.append(sys.getrecursionlimit())
+
+    def thread_b():
+        try:
+            run_state(parse("{b}: 1"), Rendezvous(park_b), recursion_limit=40_000)
+        except BaseException as exc:  # reported by the assertions below
+            errors.append(exc)
+        finally:
+            b_done.set()
+
+    deep = parse(
+        "letrec down = lambda n. if n = 0 then {a}: 0 else 1 + down (n - 1) "
+        "in down 3000"
+    )
+    program = generate_program(deep, [Rendezvous(park_a)])
+    worker = threading.Thread(target=thread_b)
+    worker.start()
+    try:
+        assert b_inside.wait(10)
+        answer, _ = program.run(recursion_limit=50_000)
+    finally:
+        worker.join(10)
+    assert errors == []
+    assert answer == 3000
+    assert seen and seen[0] >= 50_000, seen
+    assert sys.getrecursionlimit() == before
+    print("ok")
