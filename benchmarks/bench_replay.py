@@ -14,8 +14,11 @@ script measures that claim on a long recorded trace:
   refold arm folds ~N/2.
 * **Random walk**: a scripted ``back``-heavy cursor walk over the same
   trace, both ways.
+* **Ring overflow**: seek-to-midpoint with ``repro replay``'s default
+  stack (a 4096-event history ring) over a trace longer than the ring,
+  so every folded event past the ring's capacity also drops the oldest.
 
-Both numbers are **informational only — there is no gate**: the suite
+All three rows are **informational only — there is no gate**: the suite
 runs on a single-core CI container where wall-clock ratios flake under
 load, so the report records the measured speedup and the event counts,
 and a human reads them.  The script merges a ``"replay"`` section into
@@ -35,7 +38,7 @@ sys.path.insert(0, _REPO_ROOT)
 sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
 from repro.monitors import HistoryMonitor
-from repro.replay import ReplaySession
+from repro.replay import HISTORY_KEY, ReplaySession, default_stack
 from repro.runtime.config import RunConfig
 from repro.tracing import record
 
@@ -50,6 +53,9 @@ QUICK_ITERATIONS = 600
 
 #: The default interval under test (mirrors RunConfig's default).
 INTERVAL = 512
+
+#: 5,000 events: past default_stack()'s 4096-event ring in both modes.
+OVERFLOW_ITERATIONS = 2_500
 
 
 def _stack():
@@ -127,6 +133,34 @@ def measure_backward_walk(path: str) -> dict:
     }
 
 
+def measure_ring_overflow() -> dict:
+    """Seek-to-midpoint on the default stack, its history ring overflowing."""
+    path = _record_trace(OVERFLOW_ITERATIONS)
+    try:
+        stack = default_stack()
+        session = ReplaySession(path, stack, checkpoint_interval=INTERVAL)
+        total = len(session)
+        session.seek(total)  # populate the index once, outside timing
+        dropped = session.state_of(HISTORY_KEY).dropped
+
+        def seek_midpoint():
+            session.seek(total)
+            session.seek(total // 2)
+
+        return {
+            "workload": (
+                f"loop_with_trace_hits({OVERFLOW_ITERATIONS}, {OVERFLOW_ITERATIONS})"
+            ),
+            "events": total,
+            "capacity": stack[0].capacity,
+            "dropped_at_end": dropped,
+            "interval": INTERVAL,
+            "checkpointed_ms": _timed(seek_midpoint) * 1000,
+        }
+    finally:
+        os.unlink(path)
+
+
 def run_matrix(quick: bool) -> dict:
     iterations = QUICK_ITERATIONS if quick else FULL_ITERATIONS
     path = _record_trace(iterations)
@@ -136,6 +170,7 @@ def run_matrix(quick: bool) -> dict:
             "quick": quick,
             "seek_to_midpoint": measure_seek_to_midpoint(path),
             "backward_walk": measure_backward_walk(path),
+            "ring_overflow": measure_ring_overflow(),
             # Single-core CI box: wall-clock ratios are reported for a
             # human to read, never asserted (see docs/DEBUGGING.md).
             "gate": {"met": True, "informational_only": True},
@@ -158,6 +193,12 @@ def print_matrix(result: dict) -> None:
     print(
         f"  backward walk      ckpt {walk['checkpointed_ms']:.2f} ms vs "
         f"refold {walk['full_refold_ms']:.2f} ms -> {walk['speedup']:.1f}x"
+    )
+    ring = result["ring_overflow"]
+    print(
+        f"  ring overflow      ckpt {ring['checkpointed_ms']:.2f} ms over "
+        f"{ring['events']} events, ring {ring['capacity']} "
+        f"({ring['dropped_at_end']} dropped at the end)"
     )
 
 

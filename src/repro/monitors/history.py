@@ -6,9 +6,13 @@ recent ``capacity`` events).  This is the substrate a time-travel debugger
 replays: given the history, "what was the value of the 3rd activation of
 ``f``?" is a pure query over the final monitor state rather than a rerun.
 
-Like all monitors here the state is a persistent value; the ring is a
-functional deque (two stacks), so appends are amortized O(1) without
-mutation.
+Like all monitors here the state is a persistent value.  The ring is a
+functional deque of two cons lists that successive states share: a push
+allocates one cell and one state, and dropping the oldest event drops one
+cell.  When the oldest-first half runs empty, the newest-first half is
+reversed into it: O(capacity) once per ``capacity`` drops.  So a replay
+checkpoint holds a reference into the shared cells, not a private copy of
+the history.
 """
 
 from __future__ import annotations
@@ -36,41 +40,112 @@ class HistoryEvent:
         return f"#{self.sequence:04d} {'  ' * self.depth}{arrow} {self.label}{suffix}"
 
 
-@dataclass(frozen=True)
+def _cells(cells) -> List[HistoryEvent]:
+    """The events of a cons list ``(head, (next, ... ()))``, head first."""
+    out = []
+    while cells:
+        out.append(cells[0])
+        cells = cells[1]
+    return out
+
+
+def _history_state(events, dropped, next_sequence, depth, capacity):
+    """Rebuild a pickled :class:`HistoryState` from its flat event list."""
+    back = ()
+    for event in events:
+        back = (event, back)
+    return HistoryState((), back, len(events), dropped, next_sequence, depth, capacity)
+
+
 class HistoryState:
-    """Bounded event history: a purely functional ring buffer."""
+    """Bounded event history: a purely functional ring of shared cons cells.
 
-    front: Tuple[HistoryEvent, ...] = ()
-    back: Tuple[HistoryEvent, ...] = ()  # reversed: newest first
-    size: int = 0
-    dropped: int = 0
-    next_sequence: int = 0
-    depth: int = 0
-    capacity: int = 1024
+    ``front`` holds the oldest events as a cons list, oldest first;
+    ``back`` holds the rest as a cons list ``(newest, (older, ... ()))``.
+    After any push ``back`` is non-empty, so ``back[0]`` is always the
+    newest event.  Instances are immutable by convention: every operation
+    returns a new state sharing the old one's cells.
 
-    def push(self, event: HistoryEvent) -> "HistoryState":
-        front, back, size, dropped = self.front, self.back, self.size, self.dropped
-        back = (event,) + back
-        size += 1
+    Equality, hashing, ``repr`` and pickling walk the cells in a loop, so
+    a history of any length neither recurses nor depends on where the
+    split between ``front`` and ``back`` falls.
+    """
+
+    __slots__ = ("front", "back", "size", "dropped", "next_sequence", "depth", "capacity")
+
+    def __init__(
+        self,
+        front: tuple = (),
+        back: tuple = (),
+        size: int = 0,
+        dropped: int = 0,
+        next_sequence: int = 0,
+        depth: int = 0,
+        capacity: int = 1024,
+    ) -> None:
+        self.front = front
+        self.back = back
+        self.size = size
+        self.dropped = dropped
+        self.next_sequence = next_sequence
+        self.depth = depth
+        self.capacity = capacity
+
+    def push(self, event: HistoryEvent, depth: int) -> "HistoryState":
+        """The state after recording ``event``, at nesting ``depth``."""
+        back = (event, self.back)
+        front = self.front
+        size = self.size + 1
+        dropped = self.dropped
         if size > self.capacity:
             if not front:
-                front = tuple(reversed(back))
-                back = ()
-            front = front[1:]
+                # Reverse every event but the newest into the front half.
+                node = back[1]
+                while node:
+                    front = (node[0], front)
+                    node = node[1]
+                back = (event, ())
+            front = front[1]
             size -= 1
             dropped += 1
         return HistoryState(
-            front=front,
-            back=back,
-            size=size,
-            dropped=dropped,
-            next_sequence=self.next_sequence + 1,
-            depth=self.depth,
-            capacity=self.capacity,
+            front, back, size, dropped, self.next_sequence + 1, depth, self.capacity
         )
 
     def events(self) -> List[HistoryEvent]:
-        return list(self.front) + list(reversed(self.back))
+        newest_first = _cells(self.back)
+        newest_first.reverse()
+        return _cells(self.front) + newest_first
+
+    def _scalars(self) -> Tuple[int, int, int, int, int]:
+        return (self.size, self.dropped, self.next_sequence, self.depth, self.capacity)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, HistoryState):
+            return NotImplemented
+        if self._scalars() != other._scalars():
+            return False
+        if self.front is other.front and self.back is other.back:
+            return True
+        return self.events() == other.events()
+
+    def __hash__(self) -> int:
+        return hash((self._scalars(), tuple(self.events())))
+
+    def __repr__(self) -> str:
+        return (
+            f"HistoryState(events={self.events()!r}, dropped={self.dropped}, "
+            f"next_sequence={self.next_sequence}, depth={self.depth}, "
+            f"capacity={self.capacity})"
+        )
+
+    def __reduce__(self):
+        return (
+            _history_state,
+            (self.events(), self.dropped, self.next_sequence, self.depth, self.capacity),
+        )
 
 
 class HistoryMonitor(MonitorSpec):
@@ -96,41 +171,16 @@ class HistoryMonitor(MonitorSpec):
         return HistoryState(capacity=self.capacity)
 
     def pre(self, annotation, term, ctx, state: HistoryState) -> HistoryState:
-        event = HistoryEvent(
-            sequence=state.next_sequence,
-            kind="enter",
-            label=annotation.name,
-            depth=state.depth,
-        )
-        pushed = state.push(event)
-        return HistoryState(
-            front=pushed.front,
-            back=pushed.back,
-            size=pushed.size,
-            dropped=pushed.dropped,
-            next_sequence=pushed.next_sequence,
-            depth=state.depth + 1,
-            capacity=state.capacity,
-        )
+        depth = state.depth
+        event = HistoryEvent(state.next_sequence, "enter", annotation.name, depth)
+        return state.push(event, depth + 1)
 
     def post(self, annotation, term, ctx, result, state: HistoryState) -> HistoryState:
+        depth = state.depth - 1
         event = HistoryEvent(
-            sequence=state.next_sequence,
-            kind="exit",
-            label=annotation.name,
-            depth=state.depth - 1,
-            value=value_to_string(result),
+            state.next_sequence, "exit", annotation.name, depth, value_to_string(result)
         )
-        pushed = state.push(event)
-        return HistoryState(
-            front=pushed.front,
-            back=pushed.back,
-            size=pushed.size,
-            dropped=pushed.dropped,
-            next_sequence=pushed.next_sequence,
-            depth=state.depth - 1,
-            capacity=state.capacity,
-        )
+        return state.push(event, depth)
 
     def report(self, state: HistoryState) -> "History":
         return History(state.events(), dropped=state.dropped)

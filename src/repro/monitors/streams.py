@@ -59,6 +59,18 @@ class Stream:
     def __repr__(self) -> str:
         return f"<stream {len(self)} chunks>"
 
+    def __reduce__(self):
+        # Flat, so pickling a long stream never recurses once per chunk.
+        return (_stream_of, (self.chunks(),))
+
+
+def _stream_of(chunks: List[str]) -> Stream:
+    """Rebuild a pickled :class:`Stream` from its chunks, oldest first."""
+    stream = Stream()
+    for text in chunks:
+        stream = Stream(text, stream)
+    return stream
+
 
 #: ``initStream``.
 def init_stream() -> Stream:

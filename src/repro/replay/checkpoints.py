@@ -35,7 +35,7 @@ from repro.monitoring.state import MonitorStateVector
 from repro.observability.metrics import RunMetrics
 
 #: Bump when the sidecar envelope or Checkpoint layout changes.
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 
 
 def copy_metrics(metrics: Optional[RunMetrics]) -> Optional[RunMetrics]:
@@ -126,8 +126,9 @@ class CheckpointIndex:
     def positions(self) -> Tuple[int, ...]:
         return tuple(self._positions)
 
-    def is_boundary(self, position: int) -> bool:
-        return position > 0 and position % self.interval == 0
+    def next_boundary(self, position: int) -> int:
+        """The first checkpoint position after ``position`` (``>= 0``)."""
+        return (position // self.interval + 1) * self.interval
 
     def note(self, point: Checkpoint) -> None:
         index = bisect_right(self._positions, point.position)

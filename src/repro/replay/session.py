@@ -26,7 +26,7 @@ state-vector and metrics equality against :func:`analyze_trace`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.monitoring.faults import MonitorFault, check_fault_policy
 from repro.monitoring.spec import MonitorSpec
@@ -43,6 +43,7 @@ from repro.tracing.analyze import (
     TraceAnalysis,
     _resolve_program,
     _resolve_trace,
+    resolve_claims,
 )
 from repro.tracing.schema import Site, Trace, TraceEvent, decode_value
 
@@ -96,16 +97,7 @@ class ReplaySession:
         self.fault_policy = fault_policy
         self._with_metrics = bool(metrics)
 
-        # Claim resolution once per site, exactly as analyze_trace.
-        self._claims: List[Optional[Tuple[MonitorSpec, object, Tuple[str, ...]]]] = []
-        for site in self.sites:
-            claim = None
-            for spec in self.monitors:
-                view = spec.recognize(site.annotation)
-                if view is not None:
-                    claim = (spec, view, tuple(spec.observes))
-                    break
-            self._claims.append(claim)
+        self._claims = resolve_claims(self.sites, self.monitors)
         self._labels = [_site_label(site) for site in self.sites]
 
         fingerprint = str(self.trace.header.get("fingerprint", ""))
@@ -156,9 +148,9 @@ class ReplaySession:
         self.faults = thawed.faults
         self.disabled = thawed.disabled
 
-    def _snapshot(self) -> Checkpoint:
+    def _snapshot(self, position: int) -> Checkpoint:
         return Checkpoint.capture(
-            position=self.position,
+            position=position,
             states=self.states,
             stack=self.stack,
             metrics=self.metrics,
@@ -270,13 +262,22 @@ class ReplaySession:
             if point is not None and point.position > self.position:
                 self._restore(point)
         events = self.trace.events
-        while self.position < target:
-            self._apply(events[self.position])
-            self.position += 1
-            self.replayed_events += 1
-            if self.checkpoints.is_boundary(self.position):
-                self.checkpoints.note(self._snapshot())
-        return self.position
+        apply = self._apply
+        checkpoints = self.checkpoints
+        start = position = self.position
+        boundary = checkpoints.next_boundary(position)
+        try:
+            while position < target:
+                apply(events[position])
+                position += 1
+                if position == boundary:
+                    checkpoints.note(self._snapshot(position))
+                    boundary = checkpoints.next_boundary(position)
+        finally:
+            # A propagated hook fault leaves the cursor before its event.
+            self.position = position
+            self.replayed_events += position - start
+        return position
 
     def event_at(self, position: int) -> Optional[TraceEvent]:
         """The event applied by step ``position + 1`` (None past the end)."""

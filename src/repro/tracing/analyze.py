@@ -141,6 +141,31 @@ def _resolve_program(trace: Trace, program) -> Tuple[object, List[Site]]:
     return program, table
 
 
+#: A site's claimant: the monitor, its recognized view, and the keys it observes.
+Claim = Tuple[MonitorSpec, object, Tuple[str, ...]]
+
+
+def resolve_claims(
+    sites: Sequence[Site], monitors: Sequence[MonitorSpec]
+) -> List[Optional[Claim]]:
+    """Claim resolution once per *site*, not once per event.
+
+    For each site, the first (and by disjointness only) monitor whose
+    ``recognize()`` accepts the annotation, with its recognized view;
+    ``None`` where no monitor claims the site.
+    """
+    claims: List[Optional[Claim]] = []
+    for site in sites:
+        claim = None
+        for spec in monitors:
+            view = spec.recognize(site.annotation)
+            if view is not None:
+                claim = (spec, view, tuple(spec.observes))
+                break
+        claims.append(claim)
+    return claims
+
+
 def analyze_trace(
     trace: Union[str, Trace],
     monitors: Union[MonitorSpec, Sequence[MonitorSpec]],
@@ -194,19 +219,7 @@ def analyze_trace(
     )
     disabled = fault_log.disabled if fault_log is not None else frozenset()
 
-    # Claim resolution happens once per *site*, not once per event: for
-    # each site, the first (and by disjointness only) monitor whose
-    # recognize() accepts the annotation, with its recognized view.
-    claimants: List[Optional[Tuple[MonitorSpec, object, Tuple[str, ...]]]] = []
-    for site in table:
-        claim = None
-        for spec in monitor_list:
-            view = spec.recognize(site.annotation)
-            if view is not None:
-                claim = (spec, view, tuple(spec.observes))
-                break
-        claimants.append(claim)
-
+    claimants = resolve_claims(table, monitor_list)
     states = MonitorStateVector.initial(monitor_list)
     pending_ctx: Dict[Tuple[int, int], ReplayContext] = {}
     start = perf_counter() if run_metrics is not None else 0.0
@@ -337,4 +350,5 @@ __all__ = [
     "analyze_many",
     "analyze_trace",
     "parse_program",
+    "resolve_claims",
 ]

@@ -24,7 +24,7 @@ from repro.errors import EvaluationTimeout
 from repro.languages.imperative import imperative
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
-from repro.monitors import HistoryMonitor, ProfilerMonitor
+from repro.monitors import HistoryMonitor, ProfilerMonitor, TracerMonitor
 from repro.monitors.interactive import DebugResult, debug
 from repro.observability import RunMetrics
 from repro.replay import (
@@ -47,6 +47,10 @@ FAC = (
     "if x = 0 then 1 else x * fac (x - 1) in fac 5"
 )
 LOOP = "letrec loop = lambda x. {loop}: loop (x + 1) in loop 0"
+DEEP_LOOP = (
+    "letrec down = lambda x. {down(x)}: "
+    "if x = 0 then 0 else down (x - 1) in down %d"
+)
 
 ENGINES = ("reference", "compiled", "codegen")
 
@@ -206,6 +210,33 @@ class TestSidecar:
         )
         stale = other.checkpoints.nearest(len(other))
         assert stale is None or stale.position == 0
+
+    @pytest.mark.parametrize(
+        "stack",
+        [lambda: [TracerMonitor()], lambda: [HistoryMonitor(1000, key=HISTORY_KEY)]],
+        ids=["tracer", "history-overflowed"],
+    )
+    def test_long_trace_sidecar_roundtrips(self, tmp_path, stack):
+        # 5,202 events: a tracer stream far deeper than the recursion
+        # limit, or a history ring past its capacity, pickles flat, so
+        # the sidecar saves and reloads equal states.
+        path = str(tmp_path / "t.jsonl")
+        record(strict, parse(DEEP_LOOP % 2600), path)
+        first = ReplaySession(path, stack(), use_sidecar=True)
+        assert len(first) >= 5000
+        first.seek(len(first))
+        assert first.save_checkpoints()
+        second = ReplaySession(path, stack(), use_sidecar=True)
+        assert second.checkpoints.positions == first.checkpoints.positions
+        assert second.checkpoints.positions[-1] >= 5000
+        (spec,) = second.monitors
+        for position in second.checkpoints.positions:
+            loaded = second.checkpoints.nearest(position).states.get(spec.key)
+            folded = first.checkpoints.nearest(position).states.get(spec.key)
+            assert spec.report(loaded) == spec.report(folded)
+        second.seek(len(second))
+        assert second.replayed_events == len(second) % 512
+        assert second.analysis().reports() == first.analysis().reports()
 
 
 class TestTimeTravelDebugger:
