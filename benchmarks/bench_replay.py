@@ -17,8 +17,14 @@ script measures that claim on a long recorded trace:
 * **Ring overflow**: seek-to-midpoint with ``repro replay``'s default
   stack (a 4096-event history ring) over a trace longer than the ring,
   so every folded event past the ring's capacity also drops the oldest.
+* **Random seek**: a fresh session at the default interval seeking to
+  seeded random positions, as a debugger user jumping around does; the
+  p50 of one ``seek``.
+* **First full fold**: open a session and ``seek`` to the end, at the
+  default interval and at the old default of 512: what dense
+  checkpoints cost on the first pass.
 
-All three rows are **informational only — there is no gate**: the suite
+All five rows are **informational only — there is no gate**: the suite
 runs on a single-core CI container where wall-clock ratios flake under
 load, so the report records the measured speedup and the event counts,
 and a human reads them.  The script merges a ``"replay"`` section into
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 import tempfile
 import time
@@ -39,8 +46,9 @@ sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
 from repro.monitors import HistoryMonitor
 from repro.replay import HISTORY_KEY, ReplaySession, default_stack
+from repro.runtime import DEFAULT_CHECKPOINT_INTERVAL
 from repro.runtime.config import RunConfig
-from repro.tracing import record
+from repro.tracing import read_trace, record
 
 from benchmarks.workloads import loop_with_trace_hits
 
@@ -51,8 +59,12 @@ from repro.languages.strict import strict
 FULL_ITERATIONS = 4_000
 QUICK_ITERATIONS = 600
 
-#: The default interval under test (mirrors RunConfig's default).
-INTERVAL = 512
+#: The default interval under test.
+INTERVAL = DEFAULT_CHECKPOINT_INTERVAL
+#: The default before checkpoints held only fold state.
+SPARSE_INTERVAL = 512
+#: Seeded positions for the random-seek row.
+RANDOM_SEEKS = 200
 
 #: 5,000 events: past default_stack()'s 4096-event ring in both modes.
 OVERFLOW_ITERATIONS = 2_500
@@ -161,6 +173,50 @@ def measure_ring_overflow() -> dict:
         os.unlink(path)
 
 
+def _p50(samples) -> float:
+    ordered = sorted(samples)
+    return ordered[len(ordered) // 2]
+
+
+def measure_random_seek(path: str) -> dict:
+    """Seeded random seeks on a fresh session at the default interval."""
+    session = ReplaySession(path, _stack(), checkpoint_interval=INTERVAL)
+    rng = random.Random(0)
+    samples = []
+    for _ in range(RANDOM_SEEKS):
+        position = rng.randint(0, len(session))
+        start = time.perf_counter()
+        session.seek(position)
+        samples.append(time.perf_counter() - start)
+    return {
+        "events": len(session),
+        "interval": INTERVAL,
+        "seeks": RANDOM_SEEKS,
+        "p50_ms": _p50(samples) * 1000,
+        "events_per_seek": session.replayed_events / RANDOM_SEEKS,
+    }
+
+
+def measure_first_fold(path: str) -> dict:
+    """Open + ``seek(end)`` on a fresh session, dense vs sparse checkpoints."""
+    trace = read_trace(path)
+
+    def first_fold(interval):
+        def thunk():
+            session = ReplaySession(trace, _stack(), checkpoint_interval=interval)
+            session.seek(len(session))
+
+        return _timed(thunk) * 1000
+
+    return {
+        "events": len(trace.events),
+        "interval": INTERVAL,
+        "default_ms": first_fold(INTERVAL),
+        "sparse_interval": SPARSE_INTERVAL,
+        "sparse_ms": first_fold(SPARSE_INTERVAL),
+    }
+
+
 def run_matrix(quick: bool) -> dict:
     iterations = QUICK_ITERATIONS if quick else FULL_ITERATIONS
     path = _record_trace(iterations)
@@ -171,6 +227,8 @@ def run_matrix(quick: bool) -> dict:
             "seek_to_midpoint": measure_seek_to_midpoint(path),
             "backward_walk": measure_backward_walk(path),
             "ring_overflow": measure_ring_overflow(),
+            "random_seek": measure_random_seek(path),
+            "first_fold": measure_first_fold(path),
             # Single-core CI box: wall-clock ratios are reported for a
             # human to read, never asserted (see docs/DEBUGGING.md).
             "gate": {"met": True, "informational_only": True},
@@ -199,6 +257,18 @@ def print_matrix(result: dict) -> None:
         f"  ring overflow      ckpt {ring['checkpointed_ms']:.2f} ms over "
         f"{ring['events']} events, ring {ring['capacity']} "
         f"({ring['dropped_at_end']} dropped at the end)"
+    )
+    rand = result["random_seek"]
+    print(
+        f"  random seek        p50 {rand['p50_ms']:.3f} ms over {rand['seeks']} "
+        f"seeks, {rand['events_per_seek']:.1f} events folded per seek "
+        f"(interval {rand['interval']})"
+    )
+    first = result["first_fold"]
+    print(
+        f"  first full fold    {first['default_ms']:.2f} ms at interval "
+        f"{first['interval']} vs {first['sparse_ms']:.2f} ms at "
+        f"{first['sparse_interval']} over {first['events']} events"
     )
 
 

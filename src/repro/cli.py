@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import LexError, ParseError, ReproError, format_source_context
 from repro.languages.base import LANGUAGE_NAMES, language_named
+from repro.runtime import DEFAULT_CHECKPOINT_INTERVAL
 
 #: The module behind each non-reference ``--engine``.  The flag loads it
 #: up front, with the rest of start-up, rather than inside the first run.
@@ -129,11 +130,11 @@ def _checkpoint_interval(args) -> int:
     Validated here — at flag-parsing time, with the flag named — rather
     than letting ``RunConfig.validate()``'s ValueError escape ``main()``
     as a traceback.  ``0`` is an error, not "use the default": silently
-    mapping it to 512 would hide the typo.
+    mapping it to the default would hide the typo.
     """
     interval = getattr(args, "checkpoint_interval", None)
     if interval is None:
-        return 512
+        return DEFAULT_CHECKPOINT_INTERVAL
     if isinstance(interval, bool) or not isinstance(interval, int) or interval < 1:
         raise ReproError(
             f"--checkpoint-interval must be a positive integer, got {interval!r}"
@@ -392,7 +393,6 @@ def cmd_replay(args) -> int:
         fault_policy=args.fault_policy,
         checkpoint_interval=_checkpoint_interval(args),
         allow_truncated=args.allow_truncated,
-        use_sidecar=args.sidecar,
     )
     source = None if args.command else ConsoleSource(prompt="(replay) ")
     debugger = ReplayDebugger(
@@ -403,8 +403,6 @@ def cmd_replay(args) -> int:
         echo=print,
     )
     debugger.run()
-    if args.sidecar:
-        session.save_checkpoints()
     return 0
 
 
@@ -695,8 +693,9 @@ def add_run_flags(parser: argparse.ArgumentParser, *, engine: bool = True) -> No
         type=int,
         default=None,
         metavar="EVENTS",
-        help="replay checkpoint spacing in trace events (default 512; "
-        "smaller = faster backward seeks, more checkpoints)",
+        help="replay checkpoint spacing in trace events (default "
+        f"{DEFAULT_CHECKPOINT_INTERVAL}; smaller = faster backward seeks, "
+        "more checkpoints; a checkpoint holds only fold state)",
     )
     parser.add_argument(
         "--lint",
@@ -1175,12 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay the readable prefix of a trace whose recorder "
         "crashed mid-write",
-    )
-    replay_parser.add_argument(
-        "--sidecar",
-        action="store_true",
-        help="load/save a checkpoint sidecar next to the trace "
-        "(TRACE.ckpt) so later sessions seek without refolding",
     )
     add_run_flags(replay_parser, engine=False)
     replay_parser.set_defaults(handler=cmd_replay)

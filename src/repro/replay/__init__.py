@@ -4,11 +4,14 @@ The PR 8 trace backend made a run a *value* (record once, fold monitor
 stacks over it later); this package makes that value *navigable*:
 
 * :class:`~repro.replay.session.ReplaySession` — the incremental,
-  seekable trace fold, with automatic monitor-state checkpoints every
-  ``RunConfig(checkpoint_interval=...)`` events so ``seek(k)`` replays
-  at most one interval, not the whole prefix;
-* :class:`~repro.replay.checkpoints.CheckpointIndex` — the checkpoint
-  store, persistable to a ``<trace>.ckpt`` sidecar;
+  seekable trace fold: the kernel ``analyze_trace`` runs, over an event
+  plan decoded once per session, with automatic checkpoints every
+  ``checkpoint_interval`` events (default 64) so ``seek(k)`` replays at
+  most one interval, not the whole prefix;
+* :class:`~repro.replay.checkpoints.CheckpointIndex` — the in-memory
+  checkpoint store.  A checkpoint holds only fold state (monitor states,
+  counters, faults, disabled slots); refolding is cheap enough that
+  nothing is persisted between sessions;
 * :class:`~repro.replay.debugger.ReplayDebugger` — the time-travel
   debugger behind ``repro replay``: the live command set plus ``back``,
   ``goto``, ``rewind``, ``events``, and the omniscient queries
@@ -28,7 +31,6 @@ __all__ = [
     "ReplayDebugger",
     "ReplaySession",
     "default_stack",
-    "sidecar_path",
 ]
 
 __getattr__, __dir__ = _lazy_exports(
@@ -36,7 +38,6 @@ __getattr__, __dir__ = _lazy_exports(
     {
         "Checkpoint": "repro.replay.checkpoints",
         "CheckpointIndex": "repro.replay.checkpoints",
-        "sidecar_path": "repro.replay.checkpoints",
         "HISTORY_KEY": "repro.replay.debugger",
         "ReplayDebugger": "repro.replay.debugger",
         "default_stack": "repro.replay.debugger",

@@ -139,19 +139,16 @@ class ReplayDebugger:
         ``seek`` takes), or ``None`` when the rest of the trace has no
         stop under ``mode``.
         """
-        events = self.session.trace.events
-        depth = len(self.session.stack)
-        for index in range(self.session.position, len(events)):
+        session = self.session
+        events = session.trace.events
+        for index in range(session.position, len(events)):
             event = events[index]
             if event.phase == "pre":
-                depth += 1
-                label = self.session.label_of(event)
+                label = session.label_of(event)
                 if mode == "step" or (mode == "break" and self._enabled(label)):
                     return index + 1
-            else:
-                depth -= 1
-                if mode == "finish" and depth < self._finish_depth:
-                    return index + 1
+            elif mode == "finish" and session.depth_at(index + 1) < self._finish_depth:
+                return index + 1
         return None
 
     # -- the session loop ------------------------------------------------------
@@ -189,7 +186,7 @@ class ReplayDebugger:
             if mode == "finish":
                 # Stop once the depth drops below where we stand now —
                 # i.e. when the activation we are inside returns.
-                self._finish_depth = len(self.session.stack)
+                self._finish_depth = self.session.depth_at(self.session.position)
         return "\n".join(self.transcript) + ("\n" if self.transcript else "")
 
     def _end_line(self) -> str:
@@ -226,7 +223,7 @@ class ReplayDebugger:
                 frames = " > ".join(label for _, label in session.stack)
                 self._emit(f"where: {frames or '(top level)'}")
             elif isinstance(parsed, cmd.Depth):
-                self._emit(f"depth: {len(session.stack)}")
+                self._emit(f"depth: {session.depth_at(session.position)}")
             elif isinstance(parsed, cmd.ShowSource):
                 event = session.current_event
                 if event is None:

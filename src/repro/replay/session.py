@@ -3,9 +3,9 @@
 :func:`repro.tracing.analyze_trace` folds a monitor stack over a whole
 trace in one pass.  A time-travel debugger needs the same fold *stopped
 anywhere*: the state after event 17, then after event 3, then after
-event 40_000.  :class:`ReplaySession` is that — the identical event
-semantics (claim resolution per site, metric charging before the hook,
-the three fault policies), restructured around a cursor:
+event 40_000.  :class:`ReplaySession` is that — the same kernel
+(:class:`~repro.tracing.analyze.Fold`) over the same decoded-once event
+plan, restructured around a cursor:
 
 * ``seek(k)`` moves the cursor to "k events applied".  Going forward
   from the current position folds just the gap; going *backward* — the
@@ -14,9 +14,11 @@ the three fault policies), restructured around a cursor:
   ``back`` in the debugger costs at most ``checkpoint_interval`` events,
   never a refold from zero.
 * checkpoints are taken automatically at every interval boundary as the
-  fold first passes it (and persisted to the sidecar on request);
-  monitor states are persistent values, so a checkpoint is O(1) plus a
-  shallow copy of the metric counters.
+  fold first passes it.  A checkpoint holds only fold state: monitor
+  states are persistent values, so it is one reference plus a shallow
+  copy of the metric counters.  What comes from the trace alone — the
+  ``pre`` each ``post`` closes, the open activations at each position —
+  is computed once per session, not carried through the fold.
 
 Equivalence with the straight fold is a tested property, not an
 aspiration: ``tests/test_replay.py`` drives generated programs under
@@ -26,48 +28,62 @@ state-vector and metrics equality against :func:`analyze_trace`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.monitoring.faults import MonitorFault, check_fault_policy
+from repro.monitoring.faults import check_fault_policy
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.observability.metrics import RunMetrics
-from repro.replay.checkpoints import (
-    Checkpoint,
-    CheckpointIndex,
-    copy_metrics,
-    sidecar_path,
-)
+from repro.replay.checkpoints import Checkpoint, CheckpointIndex, copy_metrics
+from repro.runtime import DEFAULT_CHECKPOINT_INTERVAL
 from repro.tracing.analyze import (
+    Fold,
     ReplayContext,
     TraceAnalysis,
+    _EMPTY_CONTEXT,
     _resolve_program,
     _resolve_trace,
+    build_plan,
+    decode_context,
     resolve_claims,
 )
-from repro.tracing.schema import Site, Trace, TraceEvent, decode_value
+from repro.tracing.schema import Site, Trace, TraceEvent
 
-_EMPTY_CONTEXT = ReplayContext({})
+#: One open activation in the index: ``(depth, site, label, caller)``.
+Frame = Tuple[int, int, str, Optional[tuple]]
 
 
 def _site_label(site: Site) -> str:
     return getattr(site.annotation, "name", None) or site.rendered
 
 
-def _stack_identity(monitors: Sequence[MonitorSpec]) -> str:
-    """A cheap stack fingerprint for sidecar validation."""
-    return "|".join(
-        f"{type(spec).__name__}:{spec.key}" for spec in monitors
-    )
+def _close(top: Optional[Frame], site: int) -> Optional[Frame]:
+    """Pop the innermost open activation of ``site`` (unchanged if none).
+
+    Usually that is the top frame; when it is not (a sampled-out
+    ``pre``, or control escaped an activation), the best match below is
+    dropped and the frames above it are re-linked onto its caller.
+    """
+    above = []
+    frame = top
+    while frame is not None and frame[1] != site:
+        above.append(frame)
+        frame = frame[3]
+    if frame is None:
+        return top
+    rest = frame[3]
+    for _, above_site, label, _ in reversed(above):
+        rest = (rest[0] + 1 if rest else 1, above_site, label, rest)
+    return rest
 
 
-class ReplaySession:
+class ReplaySession(Fold):
     """One trace, one monitor stack, a cursor, and a checkpoint index.
 
     ``metrics=True`` (the default) folds with a fresh accumulator so
     positions can be compared counter-for-counter with an inline run;
     ``fault_policy`` replicates ``analyze_trace``'s behaviors, with the
-    fault record list and disabled-slot set part of the checkpointed
+    fault record tuple and disabled-slot set part of the checkpointed
     fold state (so seeking backward also rewinds quarantines).
     """
 
@@ -80,9 +96,8 @@ class ReplaySession:
         fault_policy: str = "propagate",
         metrics: Union[bool, None] = True,
         check_disjointness: bool = True,
-        checkpoint_interval: int = 512,
+        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         allow_truncated: bool = True,
-        use_sidecar: bool = False,
     ) -> None:
         from repro.monitoring.compose import flatten_monitors, validate_observations
         from repro.monitoring.derive import check_disjoint
@@ -94,151 +109,30 @@ class ReplaySession:
         self.program, self.sites = _resolve_program(self.trace, program)
         if check_disjointness:
             check_disjoint(self.monitors, self.program)
-        self.fault_policy = fault_policy
-        self._with_metrics = bool(metrics)
-
-        self._claims = resolve_claims(self.sites, self.monitors)
         self._labels = [_site_label(site) for site in self.sites]
-
-        fingerprint = str(self.trace.header.get("fingerprint", ""))
-        identity = _stack_identity(self.monitors)
-        self._sidecar_key = (fingerprint, identity)
-        self._sidecar = (
-            sidecar_path(self.trace.path)
-            if use_sidecar and self.trace.path not in ("<trace>", "<stream>")
-            else None
+        self._plan = build_plan(
+            self.trace.events, self.sites, resolve_claims(self.sites, self.monitors)
         )
-        self.checkpoints = None
-        if self._sidecar is not None:
-            self.checkpoints = CheckpointIndex.load(
-                self._sidecar,
-                fingerprint=fingerprint,
-                stack=identity,
-                interval=checkpoint_interval,
-            )
-        if self.checkpoints is None:
-            self.checkpoints = CheckpointIndex(checkpoint_interval)
+        #: The trace index (see :meth:`_trace_index`), built on first use.
+        self._index: Optional[Tuple[List[Optional[Frame]], List[int]]] = None
+        self.checkpoints = CheckpointIndex(checkpoint_interval)
+        super().__init__(
+            MonitorStateVector.initial(self.monitors),
+            RunMetrics() if metrics else None,
+            fault_policy,
+        )
+        self._origin = Checkpoint.capture(self)
 
         #: Events folded since construction — the seek-cost meter the
         #: benchmark (and the curious) read.
         self.replayed_events = 0
 
-        self._restore(self._origin())
-
-    # -- fold state ------------------------------------------------------------
-
-    def _origin(self) -> Checkpoint:
-        return Checkpoint(
-            position=0,
-            states=MonitorStateVector.initial(self.monitors),
-            stack=(),
-            metrics=RunMetrics() if self._with_metrics else None,
-            pending={},
-            faults=(),
-            disabled=frozenset(),
-        )
-
     def _restore(self, point: Checkpoint) -> None:
-        thawed = point.thaw()
-        self.position = thawed.position
-        self.states = thawed.states
-        self.stack = thawed.stack
-        self.metrics = thawed.metrics
-        self._pending = thawed.pending
-        self.faults = thawed.faults
-        self.disabled = thawed.disabled
-
-    def _snapshot(self, position: int) -> Checkpoint:
-        return Checkpoint.capture(
-            position=position,
-            states=self.states,
-            stack=self.stack,
-            metrics=self.metrics,
-            pending=self._pending,
-            faults=self.faults,
-            disabled=self.disabled,
-        )
-
-    # -- the single-event step (analyze_trace's loop body) ---------------------
-
-    def _apply(self, event: TraceEvent) -> None:
-        site = event.site
-        label = self._labels[site]
-        if event.phase == "pre":
-            self.stack = self.stack + ((site, label),)
-        else:
-            if self.stack and self.stack[-1][0] == site:
-                self.stack = self.stack[:-1]
-            else:  # sampled-out pre, or control escaped: drop best match
-                for i in range(len(self.stack) - 1, -1, -1):
-                    if self.stack[i][0] == site:
-                        self.stack = self.stack[:i] + self.stack[i + 1 :]
-                        break
-
-        claim = self._claims[site]
-        if claim is None:
-            return
-        spec, view, observes = claim
-        key = spec.key
-        if key in self.disabled:
-            return
-        term = self.sites[site].body
-        state = self.states.get(key)
-        inner = self.states.view(observes) if observes else None
-        metrics = self.metrics
-        if event.phase == "pre":
-            ctx = (
-                ReplayContext(
-                    {k: decode_value(v) for k, v in event.bindings.items()}
-                )
-                if event.bindings
-                else _EMPTY_CONTEXT
-            )
-            self._pending[(site, event.occ)] = ctx
-            if metrics is not None:
-                metrics.activations[key] = metrics.activations.get(key, 0) + 1
-                metrics.pre_calls[key] = metrics.pre_calls.get(key, 0) + 1
-            try:
-                if observes:
-                    new_state = spec.pre(view, term, ctx, state, inner=inner)
-                else:
-                    new_state = spec.pre(view, term, ctx, state)
-            except Exception as exc:
-                self._fault(key, "pre", exc)
-                return
-        else:
-            ctx = self._pending.pop((site, event.occ), _EMPTY_CONTEXT)
-            result = decode_value(event.value)
-            if metrics is not None:
-                metrics.post_calls[key] = metrics.post_calls.get(key, 0) + 1
-            try:
-                if observes:
-                    new_state = spec.post(view, term, ctx, result, state, inner=inner)
-                else:
-                    new_state = spec.post(view, term, ctx, result, state)
-            except Exception as exc:
-                self._fault(key, "post", exc)
-                return
-        if new_state is not state:
-            if metrics is not None:
-                metrics.state_transitions += 1
-            self.states = self.states.set(key, new_state)
-
-    def _fault(self, key: str, phase: str, exc: Exception) -> None:
-        if self.fault_policy == "propagate":
-            raise exc
-        fault = MonitorFault(
-            monitor_key=key,
-            phase=phase,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            error=exc,
-        )
-        self.faults = self.faults + (fault,)
-        if self.fault_policy == "quarantine":
-            self.disabled = self.disabled | {key}
-        if self.metrics is not None:
-            self.metrics.faults[key] = self.metrics.faults.get(key, 0) + 1
+        self.position = point.position
+        self.states = point.states
+        self.metrics = copy_metrics(point.metrics)
+        self.faults = point.faults
+        self.disabled = point.disabled
 
     # -- the cursor ------------------------------------------------------------
 
@@ -254,30 +148,25 @@ class ReplaySession:
         first crosses, so later seeks into the same region are cheap.
         """
         target = max(0, min(int(position), len(self.trace.events)))
-        if target < self.position:
+        if target != self.position:
             point = self.checkpoints.nearest(target)
-            self._restore(point if point is not None else self._origin())
-        elif target > self.position:
-            point = self.checkpoints.nearest(target)
-            if point is not None and point.position > self.position:
+            if target < self.position:
+                self._restore(point if point is not None else self._origin)
+            elif point is not None and point.position > self.position:
                 self._restore(point)
-        events = self.trace.events
-        apply = self._apply
+        plan = self._plan
         checkpoints = self.checkpoints
-        start = position = self.position
-        boundary = checkpoints.next_boundary(position)
+        start = self.position
         try:
-            while position < target:
-                apply(events[position])
-                position += 1
-                if position == boundary:
-                    checkpoints.note(self._snapshot(position))
-                    boundary = checkpoints.next_boundary(position)
+            boundary = checkpoints.next_boundary(start)
+            while boundary <= target:
+                self.advance(plan, boundary)
+                checkpoints.note(Checkpoint.capture(self))
+                boundary = checkpoints.next_boundary(boundary)
+            self.advance(plan, target)
         finally:
-            # A propagated hook fault leaves the cursor before its event.
-            self.position = position
-            self.replayed_events += position - start
-        return position
+            self.replayed_events += self.position - start
+        return self.position
 
     def event_at(self, position: int) -> Optional[TraceEvent]:
         """The event applied by step ``position + 1`` (None past the end)."""
@@ -295,27 +184,70 @@ class ReplaySession:
         """The recorded bindings in scope at event ``position``.
 
         For a ``pre`` event, its own bindings; for a ``post``, the
-        bindings of the matching ``pre`` (the recorder pairs them by
-        (site, occurrence)).
+        bindings of the ``pre`` it closes (the recorder pairs them by
+        (site, occurrence)).  Claimed events read the plan's decoded
+        context; others are paired by the trace index and decoded on
+        demand.
         """
         event = self.event_at(position)
         if event is None:
             return _EMPTY_CONTEXT
-        if event.phase == "pre":
-            if event.bindings:
-                return ReplayContext(
-                    {k: decode_value(v) for k, v in event.bindings.items()}
-                )
-            return _EMPTY_CONTEXT
-        for earlier in range(position - 1, -1, -1):
-            candidate = self.trace.events[earlier]
-            if (
-                candidate.phase == "pre"
-                and candidate.site == event.site
-                and candidate.occ == event.occ
-            ):
-                return self.context_at(earlier)
-        return _EMPTY_CONTEXT
+        entry = self._plan[position]
+        if entry is not None:
+            return entry[1]
+        if event.phase == "post":
+            opener = self._trace_index()[1][position]
+            if opener < 0:
+                return _EMPTY_CONTEXT
+            event = self.trace.events[opener]
+        return decode_context(event)
+
+    # -- the trace index -------------------------------------------------------
+
+    def _trace_index(self) -> Tuple[List[Optional[Frame]], List[int]]:
+        """``(frames, pre_of)``, one pass over the trace on first use.
+
+        ``frames[k]`` is the innermost open activation after ``k``
+        events (a linked :data:`Frame`, ``None`` at top level);
+        ``pre_of[i]`` is, for a ``post`` at any site, the index of the
+        ``pre`` it closes (``-1`` for none, and for every ``pre``).
+        """
+        if self._index is None:
+            labels = self._labels
+            top: Optional[Frame] = None
+            frames = [top]
+            pre_of = [-1] * len(self.trace.events)
+            open_pres = {}
+            for index, event in enumerate(self.trace.events):
+                site = event.site
+                if event.phase == "pre":
+                    top = (top[0] + 1 if top else 1, site, labels[site], top)
+                    open_pres[(site, event.occ)] = index
+                else:
+                    top = _close(top, site)
+                    pre_of[index] = open_pres.pop((site, event.occ), -1)
+                frames.append(top)
+            self._index = (frames, pre_of)
+        return self._index
+
+    def stack_at(self, position: int) -> Tuple[Tuple[int, str], ...]:
+        """The open activations after ``position`` events, outermost first."""
+        frames = []
+        frame = self._trace_index()[0][position]
+        while frame is not None:
+            frames.append((frame[1], frame[2]))
+            frame = frame[3]
+        return tuple(reversed(frames))
+
+    def depth_at(self, position: int) -> int:
+        """How many activations are open after ``position`` events."""
+        frame = self._trace_index()[0][position]
+        return frame[0] if frame is not None else 0
+
+    @property
+    def stack(self) -> Tuple[Tuple[int, str], ...]:
+        """The open activations at the cursor: ``(site, label)`` pairs."""
+        return self.stack_at(self.position)
 
     def label_of(self, event: TraceEvent) -> str:
         return self._labels[event.site]
@@ -350,15 +282,6 @@ class ReplaySession:
             metrics=metrics,
             events=len(self.trace.events),
             truncated=self.trace.truncated,
-        )
-
-    def save_checkpoints(self) -> bool:
-        """Persist the index to the sidecar (if enabled and picklable)."""
-        if self._sidecar is None:
-            return False
-        fingerprint, identity = self._sidecar_key
-        return self.checkpoints.save(
-            self._sidecar, fingerprint=fingerprint, stack=identity
         )
 
 

@@ -30,7 +30,14 @@ so that those modules may import :class:`RunConfig` without a cycle.
 
 from repro import _lazy_exports
 
+#: Replay checkpoint spacing in trace events: the default of
+#: ``RunConfig.checkpoint_interval``, ``ReplaySession`` and ``repro
+#: replay --checkpoint-interval``.  It lives here, outside ``config``, so
+#: the CLI can name it in ``--help`` without loading the run layer.
+DEFAULT_CHECKPOINT_INTERVAL = 64
+
 __all__ = [
+    "DEFAULT_CHECKPOINT_INTERVAL",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_WORKERS",
     "BatchRunner",

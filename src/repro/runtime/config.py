@@ -35,6 +35,7 @@ from typing import Dict, Optional
 from repro.monitoring.faults import check_fault_policy
 from repro.observability.metrics import RunMetrics
 from repro.observability.sinks import EventSink
+from repro.runtime import DEFAULT_CHECKPOINT_INTERVAL
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 
 
@@ -94,8 +95,9 @@ class RunConfig:
     #: the fold snapshots its monitor-state vector every this-many events,
     #: so seeking to event *k* replays at most ``checkpoint_interval``
     #: events from the nearest checkpoint instead of all *k* from the
-    #: start.  Smaller = faster seeks, more checkpoint memory.
-    checkpoint_interval: int = 512
+    #: start.  Smaller = faster seeks, more checkpoints (each one a
+    #: reference to the persistent states plus a copy of the counters).
+    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     #: Static-optimization level: "none" (default) changes nothing;
     #: "flow" runs the claim-flow analysis (:mod:`repro.analysis.flow`)
     #: and lets consumers exploit it — codegen erases hooks at provably

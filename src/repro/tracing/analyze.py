@@ -10,7 +10,13 @@ have produced inline, down to the ``RunMetrics`` counters and the
 monitors could not have changed the recorded run), and
 ``tests/test_trace_equivalence.py`` is the machine check.
 
-The fold mirrors the inline machinery exactly:
+The fold runs in two steps.  :func:`build_plan` decodes the trace once
+into an event plan — per event, the claiming hook and its decoded
+context or result — and :class:`Fold` is the one kernel that steps a
+monitor stack over a span of it.  ``analyze_trace`` folds ``[0, n)``;
+:class:`~repro.replay.session.ReplaySession` folds ``[checkpoint,
+target)`` with the same kernel.  The kernel mirrors the inline
+machinery exactly:
 
 * hook dispatch — at most one monitor claims each site (Section 6
   disjointness, checked here as inline), resolved once per site rather
@@ -34,11 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import UnboundIdentifierError
 from repro.monitoring.derive import MonitoredResult, check_disjoint
-from repro.monitoring.faults import FaultLog, check_fault_policy
+from repro.monitoring.faults import MonitorFault, check_fault_policy
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.observability.metrics import RunMetrics
@@ -46,6 +52,7 @@ from repro.tracing.schema import (
     Site,
     Trace,
     TraceError,
+    TraceEvent,
     TraceFormatError,
     build_site_table,
     decode_value,
@@ -166,6 +173,182 @@ def resolve_claims(
     return claims
 
 
+#: A claimed hook at one site: ``(hook, is_pre, key, view, term,
+#: observes)``, where ``hook`` is the claimant's bound ``pre`` or ``post``.
+HookClaim = Tuple[object, bool, str, object, object, Tuple[str, ...]]
+
+#: One planned event, the kernel's whole input for it: ``(claim, ctx,
+#: result)``.  ``ctx`` is the decoded bindings of the ``pre`` (for a
+#: ``post``, of the ``pre`` it closes); ``result`` is the decoded
+#: ``post`` value (``None`` for a ``pre``).
+PlanEntry = Tuple[HookClaim, ReplayContext, object]
+
+
+#: Encoded values that decode to themselves (see ``decode_value``).
+_PLAIN_VALUES = frozenset((type(None), bool, int, float, str))
+
+
+def decode_context(event: TraceEvent) -> ReplayContext:
+    """A ``pre`` event's recorded bindings, decoded.
+
+    Bindings that are all plain values decode to themselves, so the
+    context shares the event's (never mutated) dictionary.
+    """
+    bindings = event.bindings
+    if not bindings:
+        return _EMPTY_CONTEXT
+    for value in bindings.values():
+        if value.__class__ not in _PLAIN_VALUES:
+            bindings = {k: decode_value(v) for k, v in bindings.items()}
+            break
+    return ReplayContext(bindings)
+
+
+def build_plan(
+    events: Sequence[TraceEvent],
+    sites: Sequence[Site],
+    claims: Sequence[Optional[Claim]],
+) -> List[Optional[PlanEntry]]:
+    """Decode a trace once into the fold's event plan.
+
+    ``plan[i]`` is event ``i``'s :data:`PlanEntry`, or ``None`` where no
+    monitor claims its site.  Only claimed events are decoded, so a
+    corrupt value nobody reads never raises.  A ``post`` is paired here
+    with the ``pre`` it closes — the latest unclosed ``pre`` with the
+    same (site, occurrence); none for a sampled-out ``pre`` — because
+    pairing is a function of the trace alone, not of the fold.
+    """
+    pre_claims: List[Optional[HookClaim]] = []
+    post_claims: List[Optional[HookClaim]] = []
+    for site, claim in zip(sites, claims):
+        if claim is None:
+            pre_claims.append(None)
+            post_claims.append(None)
+        else:
+            spec, view, observes = claim
+            head = (spec.key, view, site.body, observes)
+            pre_claims.append((spec.pre, True) + head)
+            post_claims.append((spec.post, False) + head)
+    plan: List[Optional[PlanEntry]] = [None] * len(events)
+    open_pres: Dict[Tuple[int, int], int] = {}
+    for index, event in enumerate(events):
+        site = event.site
+        if event.phase == "pre":
+            claim = pre_claims[site]
+            if claim is not None:
+                open_pres[(site, event.occ)] = index
+                ctx = decode_context(event)
+                plan[index] = (claim, ctx, None)
+        else:
+            claim = post_claims[site]
+            if claim is not None:
+                opener = open_pres.pop((site, event.occ), -1)
+                ctx = plan[opener][1] if opener >= 0 else _EMPTY_CONTEXT
+                result = event.value
+                if result.__class__ not in _PLAIN_VALUES:
+                    result = decode_value(result)
+                plan[index] = (claim, ctx, result)
+    return plan
+
+
+class Fold:
+    """The state of one monitor-stack fold, and the one kernel that steps it.
+
+    :func:`analyze_trace` runs :meth:`advance` over ``[0, n)``; a
+    :class:`~repro.replay.session.ReplaySession` is a ``Fold`` that runs
+    it over ``[checkpoint, target)``.  ``states``, ``faults`` and
+    ``disabled`` are persistent values; ``metrics`` (if any) is the one
+    mutable accumulator.
+    """
+
+    __slots__ = ("position", "states", "metrics", "faults", "disabled", "fault_policy")
+
+    def __init__(
+        self,
+        states: MonitorStateVector,
+        metrics: Optional[RunMetrics] = None,
+        fault_policy: str = "propagate",
+    ) -> None:
+        self.position = 0
+        self.states = states
+        self.metrics = metrics
+        self.faults: Tuple[MonitorFault, ...] = ()
+        self.disabled: FrozenSet[str] = frozenset()
+        self.fault_policy = fault_policy
+
+    def advance(self, plan: Sequence[Optional[PlanEntry]], stop: int) -> None:
+        """Apply ``plan[self.position:stop]``, mirroring the inline machinery.
+
+        A propagated hook fault leaves ``position`` before its event.
+        """
+        start = position = self.position
+        states = self.states
+        metrics = self.metrics
+        faults: List[MonitorFault] = []
+        disabled = self.disabled
+        policy = self.fault_policy
+        try:
+            for position in range(start, stop):
+                entry = plan[position]
+                if entry is None:
+                    continue
+                claim, ctx, result = entry
+                hook, pre, key, view, term, observes = claim
+                if key in disabled:
+                    continue
+                state = states.get(key)
+                if metrics is not None:
+                    if pre:
+                        metrics.activations[key] = metrics.activations.get(key, 0) + 1
+                        metrics.pre_calls[key] = metrics.pre_calls.get(key, 0) + 1
+                    else:
+                        metrics.post_calls[key] = metrics.post_calls.get(key, 0) + 1
+                try:
+                    if pre:
+                        if observes:
+                            new_state = hook(
+                                view, term, ctx, state, inner=states.view(observes)
+                            )
+                        else:
+                            new_state = hook(view, term, ctx, state)
+                    elif observes:
+                        new_state = hook(
+                            view, term, ctx, result, state, inner=states.view(observes)
+                        )
+                    else:
+                        new_state = hook(view, term, ctx, result, state)
+                except Exception as exc:
+                    if policy == "propagate":
+                        raise
+                    # quarantine: slot now disabled; log: update dropped
+                    faults.append(
+                        MonitorFault(
+                            monitor_key=key,
+                            phase="pre" if pre else "post",
+                            error_type=type(exc).__name__,
+                            message=str(exc),
+                            error=exc,
+                        )
+                    )
+                    if policy == "quarantine":
+                        disabled = disabled | {key}
+                    if metrics is not None:
+                        metrics.faults[key] = metrics.faults.get(key, 0) + 1
+                    continue
+                if new_state is not state:
+                    if metrics is not None:
+                        metrics.state_transitions += 1
+                    states = states.set(key, new_state)
+            else:
+                position = max(start, stop)
+        finally:
+            self.position = position
+            self.states = states
+            if faults:
+                self.faults += tuple(faults)
+            self.disabled = disabled
+
+
 def analyze_trace(
     trace: Union[str, Trace],
     monitors: Union[MonitorSpec, Sequence[MonitorSpec]],
@@ -204,84 +387,10 @@ def analyze_trace(
     else:
         run_metrics = metrics
 
-    observer = None
-    if run_metrics is not None:
-        counters = run_metrics
-
-        def observer(fault, quarantined):  # noqa: ANN001 - FaultLog protocol
-            key = fault.monitor_key
-            counters.faults[key] = counters.faults.get(key, 0) + 1
-
-    fault_log = (
-        None
-        if fault_policy == "propagate"
-        else FaultLog(fault_policy, observer=observer)
-    )
-    disabled = fault_log.disabled if fault_log is not None else frozenset()
-
-    claimants = resolve_claims(table, monitor_list)
-    states = MonitorStateVector.initial(monitor_list)
-    pending_ctx: Dict[Tuple[int, int], ReplayContext] = {}
     start = perf_counter() if run_metrics is not None else 0.0
-
-    for event in resolved.events:
-        claim = claimants[event.site]
-        if claim is None:
-            continue
-        spec, view, observes = claim
-        key = spec.key
-        if key in disabled:
-            continue
-        term = table[event.site].body
-        state = states.get(key)
-        inner = states.view(observes) if observes else None
-        if event.phase == "pre":
-            ctx = (
-                ReplayContext(
-                    {k: decode_value(v) for k, v in event.bindings.items()}
-                )
-                if event.bindings
-                else _EMPTY_CONTEXT
-            )
-            pending_ctx[(event.site, event.occ)] = ctx
-            if run_metrics is not None:
-                run_metrics.activations[key] = (
-                    run_metrics.activations.get(key, 0) + 1
-                )
-                run_metrics.pre_calls[key] = run_metrics.pre_calls.get(key, 0) + 1
-            try:
-                if observes:
-                    new_state = spec.pre(view, term, ctx, state, inner=inner)
-                else:
-                    new_state = spec.pre(view, term, ctx, state)
-            except Exception as exc:
-                if fault_log is None:
-                    raise
-                fault_log.record(key, "pre", exc)
-                continue  # quarantine: slot now disabled; log: update dropped
-        else:
-            ctx = pending_ctx.pop((event.site, event.occ), _EMPTY_CONTEXT)
-            result = decode_value(event.value)
-            if run_metrics is not None:
-                run_metrics.post_calls[key] = (
-                    run_metrics.post_calls.get(key, 0) + 1
-                )
-            try:
-                if observes:
-                    new_state = spec.post(
-                        view, term, ctx, result, state, inner=inner
-                    )
-                else:
-                    new_state = spec.post(view, term, ctx, result, state)
-            except Exception as exc:
-                if fault_log is None:
-                    raise
-                fault_log.record(key, "post", exc)
-                continue
-        if new_state is not state:
-            if run_metrics is not None:
-                run_metrics.state_transitions += 1
-            states = states.set(key, new_state)
+    plan = build_plan(resolved.events, table, resolve_claims(table, monitor_list))
+    fold = Fold(MonitorStateVector.initial(monitor_list), run_metrics, fault_policy)
+    fold.advance(plan, len(plan))
 
     if run_metrics is not None:
         footer = resolved.footer or {}
@@ -293,9 +402,9 @@ def analyze_trace(
 
     return TraceAnalysis(
         answer=resolved.answer(),
-        states=states,
+        states=fold.states,
         monitors=tuple(monitor_list),
-        faults=fault_log.snapshot() if fault_log is not None else (),
+        faults=fold.faults,
         fault_policy=fault_policy,
         metrics=run_metrics,
         events=len(resolved.events),
@@ -345,10 +454,13 @@ def analyze_many(
 
 
 __all__ = [
+    "Fold",
     "ReplayContext",
     "TraceAnalysis",
     "analyze_many",
     "analyze_trace",
+    "build_plan",
+    "decode_context",
     "parse_program",
     "resolve_claims",
 ]

@@ -5,10 +5,12 @@ A :class:`~repro.replay.session.ReplaySession` claims to be
 gap must land on exactly the state the one-pass fold reaches.  These
 tests make that a property (hypothesis-generated programs, recorded
 under every engine the language supports, seeked to every checkpoint
-boundary), pin the scripted ``repro replay`` transcript to a golden, and
-cover the satellites: v2 ``input``/``deadline`` records, the ``REP401``
-history-overflow diagnostic, the :class:`DebugResult` wire format, and
-the deprecation of loose per-option keywords.
+boundary), hold the per-trace activation index and ``context_at`` to the
+per-event models they replaced at every position, pin the scripted
+``repro replay`` transcript to a golden, and cover the satellites: v2
+``input``/``deadline`` records, the ``REP401`` history-overflow
+diagnostic, the :class:`DebugResult` wire format, and the deprecation
+of loose per-option keywords.
 """
 
 import json
@@ -24,7 +26,7 @@ from repro.errors import EvaluationTimeout
 from repro.languages.imperative import imperative
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
-from repro.monitors import HistoryMonitor, ProfilerMonitor, TracerMonitor
+from repro.monitors import HistoryMonitor, ProfilerMonitor
 from repro.monitors.interactive import DebugResult, debug
 from repro.observability import RunMetrics
 from repro.replay import (
@@ -32,12 +34,13 @@ from repro.replay import (
     ReplayDebugger,
     ReplaySession,
     default_stack,
-    sidecar_path,
 )
-from repro.runtime import RunConfig
+from repro.runtime import DEFAULT_CHECKPOINT_INTERVAL, RunConfig
+from repro.semantics.values import value_to_string
 from repro.syntax.parser import parse
 from repro.tracing import analyze_trace, read_trace
 from repro.tracing.record import record
+from repro.tracing.schema import decode_value
 
 from tests.generators import closed_program
 from tests.test_imp_properties import closed_imp_program
@@ -47,10 +50,6 @@ FAC = (
     "if x = 0 then 1 else x * fac (x - 1) in fac 5"
 )
 LOOP = "letrec loop = lambda x. {loop}: loop (x + 1) in loop 0"
-DEEP_LOOP = (
-    "letrec down = lambda x. {down(x)}: "
-    "if x = 0 then 0 else down (x - 1) in down %d"
-)
 
 ENGINES = ("reference", "compiled", "codegen")
 
@@ -160,83 +159,139 @@ class TestCheckpointEquivalence:
         assert session.states.get(HISTORY_KEY) == state_at_end
 
 
-class TestSidecar:
-    def test_roundtrip_skips_refolding(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        record(strict, parse(FAC), path)
-        first = ReplaySession(
-            path, _stack(), checkpoint_interval=3, use_sidecar=True
-        )
-        first.seek(len(first))
-        assert first.save_checkpoints()
-        assert os.path.exists(sidecar_path(path))
+def _incremental_stacks(session):
+    """The open-activation stack after every position, as the fold once
+    kept it: a tuple grown on ``pre`` and popped (best match) on ``post``."""
+    stack = ()
+    stacks = [stack]
+    for event in session.trace.events:
+        site = event.site
+        if event.phase == "pre":
+            stack = stack + ((site, session.label_of(event)),)
+        elif stack and stack[-1][0] == site:
+            stack = stack[:-1]
+        else:
+            for i in range(len(stack) - 1, -1, -1):
+                if stack[i][0] == site:
+                    stack = stack[:i] + stack[i + 1 :]
+                    break
+        stacks.append(stack)
+    return stacks
 
-        second = ReplaySession(
-            path, _stack(), checkpoint_interval=3, use_sidecar=True
-        )
-        # The index arrived pre-populated: a backward-looking seek finds
-        # a checkpoint even though this session never folded past it.
-        assert second.checkpoints.nearest(len(second)).position > 0
-        second.seek(5)
-        fresh = ReplaySession(path, _stack(), checkpoint_interval=10**9)
-        fresh.seek(5)
-        assert second.states.get(HISTORY_KEY) == fresh.states.get(HISTORY_KEY)
 
-    def test_corrupt_sidecar_is_ignored(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        record(strict, parse(FAC), path)
-        with open(sidecar_path(path), "w", encoding="utf-8") as handle:
-            handle.write("{not json")
-        session = ReplaySession(
-            path, _stack(), checkpoint_interval=3, use_sidecar=True
-        )
-        session.seek(len(session))
-        assert session.analysis().answer == 120
+def _scanned_context(session, position):
+    """``context_at`` as a backward scan towards event 0 once computed it."""
+    events = session.trace.events
+    if not 0 <= position < len(events):
+        return {}
+    event = events[position]
+    if event.phase == "post":
+        for earlier in range(position - 1, -1, -1):
+            candidate = events[earlier]
+            if (
+                candidate.phase == "pre"
+                and candidate.site == event.site
+                and candidate.occ == event.occ
+            ):
+                return _scanned_context(session, earlier)
+        return {}
+    return {
+        name: value_to_string(decode_value(value))
+        for name, value in (event.bindings or {}).items()
+    }
 
-    def test_stack_mismatch_rebuilds(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        record(strict, parse(FAC), path)
-        first = ReplaySession(
-            path, _stack(), checkpoint_interval=3, use_sidecar=True
-        )
-        first.seek(len(first))
-        first.save_checkpoints()
-        # A different monitor stack must not adopt the stale checkpoints.
-        other = ReplaySession(
-            path,
-            [ProfilerMonitor()],
-            checkpoint_interval=3,
-            use_sidecar=True,
-        )
-        stale = other.checkpoints.nearest(len(other))
-        assert stale is None or stale.position == 0
 
-    @pytest.mark.parametrize(
-        "stack",
-        [lambda: [TracerMonitor()], lambda: [HistoryMonitor(1000, key=HISTORY_KEY)]],
-        ids=["tracer", "history-overflowed"],
-    )
-    def test_long_trace_sidecar_roundtrips(self, tmp_path, stack):
-        # 5,202 events: a tracer stream far deeper than the recursion
-        # limit, or a history ring past its capacity, pickles flat, so
-        # the sidecar saves and reloads equal states.
+def _rendered(context):
+    return {name: value_to_string(context.lookup(name)) for name in context.names()}
+
+
+def assert_index_matches_models(path, stack=_stack):
+    session = ReplaySession(path, stack(), checkpoint_interval=3)
+    stacks = _incremental_stacks(session)
+    for position, expected in enumerate(stacks):
+        assert session.stack_at(position) == expected, position
+        assert session.depth_at(position) == len(expected), position
+    for position in range(-1, len(session) + 1):
+        assert _rendered(session.context_at(position)) == _scanned_context(
+            session, position
+        ), position
+    # The cursor view reads the same index, after backward seeks too.
+    for position in sorted(set(range(0, len(stacks), 5)), reverse=True):
+        session.seek(position)
+        assert session.stack == stacks[position]
+
+
+class TestActivationIndex:
+    """The per-trace indexes equal the per-event models they replaced."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @settings(max_examples=15, deadline=None)
+    @given(program=closed_program())
+    def test_lambda_index_matches_models(self, engine, program):
+        path = _record_tmp(strict, program, engine=engine)
+        try:
+            # History claims every site (contexts come from the plan);
+            # the profiler claims only function headers (decoded on demand).
+            assert_index_matches_models(path)
+            assert_index_matches_models(path, stack=lambda: [ProfilerMonitor()])
+        finally:
+            os.unlink(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(program=closed_imp_program())
+    def test_imp_index_matches_models(self, program):
+        path = _record_tmp(imperative, program)
+        try:
+            assert_index_matches_models(path, stack=_imp_stack)
+        finally:
+            os.unlink(path)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_timed_out_trace_keeps_unclosed_activations(self, tmp_path, engine):
+        # The header annotation wraps the body, which never returns.
+        source = (
+            "letrec loop = lambda x. {loop(x)}: "
+            "if x < 0 then 0 else loop (x + 1) in loop 0"
+        )
+        path = str(tmp_path / "loop.jsonl")
+        with pytest.raises(EvaluationTimeout):
+            record(
+                strict,
+                parse(source),
+                path,
+                config=RunConfig(engine=engine, timeout=0.02),
+            )
+        session = ReplaySession(path, _stack())
+        assert session.trace.timed_out
+        stacks = _incremental_stacks(session)
+        assert len(stacks[-1]) > 0  # pre events with no post
+        for position, expected in enumerate(stacks):
+            assert session.depth_at(position) == len(expected), position
+        step = max(1, len(stacks) // 50)
+        for position in range(0, len(stacks), step):
+            assert session.stack_at(position) == stacks[position], position
+        assert session.stack_at(len(session)) == stacks[-1]
+
+    def test_unmatched_post_pops_best_match(self, tmp_path):
+        # A hand-edited trace: the inner pre is dropped, so the outer
+        # activation's post arrives while another site is on top.
+        source = "letrec f = lambda x. {f}: if x = 0 then 0 else {g}: f (x - 1) in f 2"
         path = str(tmp_path / "t.jsonl")
-        record(strict, parse(DEEP_LOOP % 2600), path)
-        first = ReplaySession(path, stack(), use_sidecar=True)
-        assert len(first) >= 5000
-        first.seek(len(first))
-        assert first.save_checkpoints()
-        second = ReplaySession(path, stack(), use_sidecar=True)
-        assert second.checkpoints.positions == first.checkpoints.positions
-        assert second.checkpoints.positions[-1] >= 5000
-        (spec,) = second.monitors
-        for position in second.checkpoints.positions:
-            loaded = second.checkpoints.nearest(position).states.get(spec.key)
-            folded = first.checkpoints.nearest(position).states.get(spec.key)
-            assert spec.report(loaded) == spec.report(folded)
-        second.seek(len(second))
-        assert second.replayed_events == len(second) % 512
-        assert second.analysis().reports() == first.analysis().reports()
+        record(strict, parse(source), path)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        events = [i for i, line in enumerate(lines) if '"t":"pre"' in line]
+        del lines[events[1]]
+        edited = str(tmp_path / "edited.jsonl")
+        with open(edited, "w", encoding="utf-8") as handle:
+            handle.writelines(line for line in lines if '"t":"end"' not in line)
+        session = ReplaySession(edited, _stack())
+        stacks = _incremental_stacks(session)
+        for position, expected in enumerate(stacks):
+            assert session.stack_at(position) == expected, position
+            assert _rendered(session.context_at(position)) == _scanned_context(
+                session, position
+            ), position
 
 
 class TestTimeTravelDebugger:
@@ -361,26 +416,6 @@ class TestReplayCli:
         out = capsys.readouterr().out
         assert "stopped at fac (event 1 of 12)" in out
         assert "fac returned 120" in out
-
-    def test_sidecar_flag_persists_checkpoints(self, tmp_path, capsys):
-        path = self._trace(tmp_path, capsys)
-        args = [
-            "replay",
-            path,
-            "--sidecar",
-            "--checkpoint-interval",
-            "3",
-            "--command", "continue",
-            "--command", "continue",
-            "--command", "continue",
-            "--command", "continue",
-            "--command", "continue",
-            "--command", "quit",
-        ]
-        assert main(args) == 0
-        assert os.path.exists(sidecar_path(path))
-        capsys.readouterr()
-        assert main(args) == 0  # second run loads the sidecar
 
     def test_run_flags_are_shared_with_debug(self):
         # Satellite 2: cmd_debug/cmd_replay share add_run_flags — the
@@ -564,7 +599,7 @@ class TestDeprecatedKwargs:
 
 class TestCheckpointIntervalConfig:
     def test_default_and_override(self):
-        assert RunConfig().checkpoint_interval == 512
+        assert RunConfig().checkpoint_interval == DEFAULT_CHECKPOINT_INTERVAL == 64
         assert RunConfig(checkpoint_interval=8).checkpoint_interval == 8
 
     @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "16"])
